@@ -253,28 +253,17 @@ class FlowTable {
   /// Returns the number expired.
   template <typename Fn>
   std::size_t expire_idle(sim::Time now, Fn&& fn) {
-    if (params_.ttl <= 0) return 0;
-    const sim::Time deadline = now - params_.ttl;
     std::vector<std::pair<net::FlowId, V>> out;
-    for (const auto& shp : shards_) {
-      Shard& sh = *shp;
-      std::lock_guard lock(sh.mu);
-      std::int32_t s;
-      while ((s = sh.idx.oldest()) != detail::ShardIndex::kNil &&
-             sh.idx.last_seen(s) <= deadline) {
-        const net::FlowId key = sh.idx.key_at(s);
-        out.emplace_back(key, std::move(sh.values[s]));
-        sh.values[static_cast<std::size_t>(s)] = V();
-        sh.idx.erase(key);
-        size_.fetch_sub(1, std::memory_order_relaxed);
-      }
-    }
-    expirations_.fetch_add(out.size(), std::memory_order_relaxed);
+    sweep_idle(now, [&out](net::FlowId key, V&& value) {
+      out.emplace_back(key, std::move(value));
+    });
     for (auto& [key, value] : out) fn(key, std::move(value));
     return out.size();
   }
+  /// As above, without a callback: expired values are dropped in place, so
+  /// the sweep never allocates (the rt generator sweeps on its hot path).
   std::size_t expire_idle(sim::Time now) {
-    return expire_idle(now, [](net::FlowId, V&&) {});
+    return sweep_idle(now, [](net::FlowId, V&&) {});
   }
 
   /// Visit every entry as fn(key, const V&), shard by shard in recency
@@ -329,6 +318,31 @@ class FlowTable {
   }
 
  private:
+  /// Unlink every entry idle for >= ttl at `now`, handing each value to
+  /// `take(key, V&&)` under its shard's lock. Returns the number expired.
+  template <typename Take>
+  std::size_t sweep_idle(sim::Time now, Take&& take) {
+    if (params_.ttl <= 0) return 0;
+    const sim::Time deadline = now - params_.ttl;
+    std::size_t n = 0;
+    for (const auto& shp : shards_) {
+      Shard& sh = *shp;
+      std::lock_guard lock(sh.mu);
+      std::int32_t s;
+      while ((s = sh.idx.oldest()) != detail::ShardIndex::kNil &&
+             sh.idx.last_seen(s) <= deadline) {
+        const net::FlowId key = sh.idx.key_at(s);
+        take(key, std::move(sh.values[static_cast<std::size_t>(s)]));
+        sh.values[static_cast<std::size_t>(s)] = V();
+        sh.idx.erase(key);
+        size_.fetch_sub(1, std::memory_order_relaxed);
+        ++n;
+      }
+    }
+    expirations_.fetch_add(n, std::memory_order_relaxed);
+    return n;
+  }
+
   struct Shard {
     mutable std::mutex mu;
     detail::ShardIndex idx;

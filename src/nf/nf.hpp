@@ -22,9 +22,11 @@
 // order, with any interleaving, equals the state a single in-order core
 // (the shared-lock oracle) would hold after the same packet multiset —
 // which is what tests/test_nf.cpp asserts under split, reorder, loss and
-// live rescale. The engine-facing strategy seam (shared-lock / flow-
-// affinity / SCR) lives in nf/stage.hpp (DES) and rt/engine.cpp (rt); this
-// header is engine-agnostic and depends only on src/net.
+// live rescale. The same join lets a core fold a run of one flow's packets
+// into a local delta and merge it once (RunFold below). The engine-facing
+// strategy seam (shared-lock / flow-affinity / SCR) lives in nf/stage.hpp
+// (DES) and rt/engine.cpp (rt); this header is engine-agnostic and depends
+// only on src/net.
 #pragma once
 
 #include <cstdint>
@@ -223,5 +225,56 @@ void apply(const ChainConfig& cfg, const MaglevTable* maglev, Kind kind,
 /// untouched: delivery downstream keys on the destination.
 bool nat_rewrite(const ChainConfig& cfg, net::Packet& pkt,
                  std::uint16_t ext_port);
+
+// --- per-run state fold ------------------------------------------------------
+
+/// Folds a packet stream into one state delta per RUN — a maximal sequence
+/// of consecutive packets sharing (flow, tag) — so the caller resolves the
+/// flow's table entry once per run instead of once per packet. Each
+/// packet's chain updates land in a local FlowState, lock-free; when the
+/// run ends (a packet of another run arrives, or flush()) the delta goes to
+/// `sink(flow, tag, delta)`, which joins it into the table with merge().
+/// Exact, because merge() is the commutative join: one merge of a run's
+/// delta equals applying its packets one by one. A binding a packet needs
+/// mid-run (the NAT port) is read from the delta; bindings are pure
+/// functions of the key, so it equals the table's.
+class RunFold {
+ public:
+  RunFold(const ChainConfig& cfg, const MaglevTable* maglev)
+      : cfg_(&cfg), maglev_(maglev) {}
+
+  /// Apply the chain for one packet of run (flow, tag), first flushing the
+  /// open run if this packet starts another. Returns the run's delta so
+  /// far; the reference is valid until the next add() or flush().
+  template <typename Sink>
+  const FlowState& add(net::FlowId flow, std::uint64_t tag,
+                       const PacketView& view, Sink&& sink) {
+    if (open_ && (flow != flow_ || tag != tag_)) flush(sink);
+    if (!open_) {
+      flow_ = flow;
+      tag_ = tag;
+      delta_ = FlowState{};
+      open_ = true;
+    }
+    for (Kind k : cfg_->chain) apply(*cfg_, maglev_, k, view, delta_);
+    return delta_;
+  }
+
+  /// Hand the open run's delta (if any) to `sink` and close the run.
+  template <typename Sink>
+  void flush(Sink&& sink) {
+    if (!open_) return;
+    open_ = false;
+    sink(flow_, tag_, static_cast<const FlowState&>(delta_));
+  }
+
+ private:
+  const ChainConfig* cfg_;
+  const MaglevTable* maglev_;
+  FlowState delta_;
+  net::FlowId flow_ = 0;
+  std::uint64_t tag_ = 0;
+  bool open_ = false;
+};
 
 }  // namespace mflow::nf

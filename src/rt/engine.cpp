@@ -1,9 +1,12 @@
 #include "rt/engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
+#include <cassert>
 #include <chrono>
+#include <cstring>
 #include <map>
 #include <memory>
 
@@ -81,6 +84,45 @@ struct CacheSlot {
 /// Eth(14) + IPv4(20).
 constexpr std::size_t kOuterSportOff =
     net::EthernetHeader::kSize + net::Ipv4Header::kSize;
+
+/// Overlay frame the generator builds: inner Eth/IPv4/UDP plus the VXLAN
+/// outer stack (92 bytes).
+constexpr std::size_t kOverlayFrameBytes =
+    net::kVxlanOverhead + net::EthernetHeader::kSize +
+    net::Ipv4Header::kSize + net::UdpHeader::kSize;
+
+/// Generator-side header template (overlay mode): the bytes and flow key of
+/// the current micro-flow batch's first packet, as make_udp_datagram +
+/// vxlan_encap built them. Every packet of a batch carries the same inner
+/// flow and outer stack, so the rest of the batch copies these bytes
+/// instead of rebuilding them (two IPv4 checksums and a flow hash each) —
+/// ONCache-style per-flow header reuse. stamp() reproduces the buffer
+/// geometry and metadata exactly, so a stamped slab equals a built one.
+struct HeaderTemplate {
+  std::array<std::uint8_t, kOverlayFrameBytes> bytes{};
+  std::size_t headroom = 0;
+  net::FlowKey flow;
+  std::uint32_t payload_len = 0;
+
+  void capture(const net::Packet& pkt) {
+    const auto src = pkt.buf.data();
+    assert(src.size() == bytes.size() && pkt.encapsulated);
+    std::memcpy(bytes.data(), src.data(), bytes.size());
+    headroom = pkt.buf.headroom();
+    flow = pkt.flow;
+    payload_len = pkt.payload_len;
+  }
+
+  void stamp(net::Packet& pkt) const {
+    pkt.reset();
+    pkt.buf.reset(headroom);
+    std::memcpy(pkt.buf.append(bytes.size()).data(), bytes.data(),
+                bytes.size());
+    pkt.flow = flow;
+    pkt.payload_len = payload_len;
+    pkt.encapsulated = true;
+  }
+};
 
 }  // namespace
 
@@ -287,6 +329,28 @@ EngineResult Engine::run(
       auto& cache = caches[w];
       const std::size_t slot_mask = cache.empty() ? 0 : cache.size() - 1;
       OverlayCounts ov;
+      // NF chain over SURVIVORS only, so the merged state counts exactly
+      // the delivered stream (drops upstream of the fold never enter it).
+      // Each run of one flow within one micro-flow batch folds into a
+      // local delta and merges into the table once: kSharedLock takes the
+      // shard mutex once per run, the replicas pay one upsert per run.
+      // The recency clock is the batch index, as for the churn flow table;
+      // ttl is 0 so it only orders evictions, and upsert never refreshes
+      // recency, so one upsert per run stamps entries exactly as one per
+      // packet would.
+      NfCounts& nc = nf_counts[w];
+      nf::RunFold fold(config_.nf.chain, nf_has_lb ? &nf_maglev : nullptr);
+      const auto merge_run = [&](net::FlowId fid, std::uint64_t batch,
+                                 const nf::FlowState& delta) {
+        const auto now = static_cast<sim::Time>(batch);
+        if (nf_shared) {
+          ++nc.locks;
+          nf_shared_table->upsert_apply(
+              fid, now, [&delta](nf::FlowState& st) { nf::merge(st, delta); });
+        } else {
+          nf::merge(nf_tables[w]->upsert(fid, now), delta);
+        }
+      };
       while (true) {
         const std::size_t n = in.try_pop_batch(chunk.data(), kChunk);
         if (n == 0) {
@@ -389,29 +453,12 @@ EngineResult Engine::run(
             return_slab(std::move(pkt.skb));  // recycle the slab now
           } else {
             if (nf_on && !pkt.marker && pkt.skb) {
-              // NF chain over SURVIVORS only, so the merged state counts
-              // exactly the delivered stream (drops upstream of here never
-              // enter it). The recency clock is the batch index, as for the
-              // churn flow table; ttl is 0 so it only orders evictions.
               net::Packet& skb = *pkt.skb;
-              const nf::PacketView view = nf::view_of(skb);
-              const nf::MaglevTable* lb = nf_has_lb ? &nf_maglev : nullptr;
-              NfCounts& nc = nf_counts[w];
               ++nc.pkts;
-              std::uint16_t ext_port = 0;
-              auto update = [&](nf::FlowState& st) {
-                for (nf::Kind k : config_.nf.chain.chain)
-                  nf::apply(config_.nf.chain, lb, k, view, st);
-                ext_port = st.nat.ext_port;
-              };
-              if (nf_shared) {
-                ++nc.locks;
-                nf_shared_table->upsert_apply(
-                    skb.flow_id, static_cast<sim::Time>(pkt.batch), update);
-              } else {
-                update(nf_tables[w]->upsert(
-                    skb.flow_id, static_cast<sim::Time>(pkt.batch)));
-              }
+              const std::uint16_t ext_port =
+                  fold.add(skb.flow_id, pkt.batch, nf::view_of(skb),
+                           merge_run)
+                      .nat.ext_port;
               if (nf_has_nat && overlay_on && !skb.encapsulated &&
                   ext_port != 0) {
                 if (nf::nat_rewrite(config_.nf.chain, skb, ext_port))
@@ -427,6 +474,7 @@ EngineResult Engine::run(
               ++m;
           }
         }
+        fold.flush(merge_run);  // runs never outlive their chunk
         const std::size_t ok = merger.deposit_batch(
             w, chunk.data(), m, config_.max_push_spins, pc);
         // Scalar metadata survives the move into the ring, so tracing off
@@ -471,9 +519,16 @@ EngineResult Engine::run(
     std::vector<RtPacket> out(kChunk);
     std::vector<net::PacketPtr> spent(kChunk);
     while (consumed + dropped.load(std::memory_order_acquire) < total) {
+      // Sample the worker count BEFORE the pop. If every worker had exited
+      // by then, all deposits happen-before the pop, so a dry pop proves
+      // the merge head empty for good. Sampled after the pop, a final
+      // deposit landing in between would be skipped by force_advance()
+      // and then discarded as a spent marker — a hang.
+      const bool all_done =
+          workers_done.load(std::memory_order_acquire) == W;
       const std::size_t n = merger.pop_ready_batch(out.data(), kChunk);
       if (n == 0) {
-        if (workers_done.load(std::memory_order_acquire) == W) {
+        if (all_done) {
           // All producers drained: a dry micro-flow boundary — whether
           // never filled or emptied by drops — can be skipped.
           merger.force_advance();
@@ -582,6 +637,9 @@ EngineResult Engine::run(
   StallClock pool_dry, out_full;
   std::uint64_t gen_chunks = 0;
   std::uint64_t gen_cas_acquires = 0;  // slabs drawn off the pool CAS list
+  HeaderTemplate tmpl;
+  std::uint64_t tmpl_batch = 0;  // batch tmpl was captured in (batches are
+                                 // numbered from 1, so 0 means none yet)
   std::uint64_t i = 0;
   while (i < total) {
     if (in_batch >= config_.batch_size) {
@@ -668,21 +726,29 @@ EngineResult Engine::run(
         continue;
       }
       if (overlay_on) {
-        // Build REAL encapsulated bytes into the slab: inner Eth/IPv4/UDP
-        // (42 bytes) plus the 50-byte VXLAN outer stack, all within the
-        // slab's reserved capacity — allocation-free. Each micro-flow
-        // batch belongs to one inner flow, so flow identity (and the
-        // worker-side cache key) survives the round-robin split.
+        // REAL encapsulated bytes in the slab: inner Eth/IPv4/UDP (42
+        // bytes) plus the 50-byte VXLAN outer stack, all within the slab's
+        // reserved capacity — allocation-free. Each micro-flow batch
+        // belongs to one inner flow, so flow identity (and the worker-side
+        // cache key) survives the round-robin split, and only the batch's
+        // first slab is built; the rest copy its header template.
         const std::uint64_t fidx = batch % overlay_flows;
-        skb = net::make_udp_datagram(
-            std::move(skb),
-            net::FlowKey{net::Ipv4Addr(10, 0, 1, 2),
-                         net::Ipv4Addr(10, 0, 1, 3),
-                         static_cast<std::uint16_t>(40000 + (fidx & 0x3FFF)),
-                         5000, net::Ipv4Header::kProtoUdp},
-            net::kTcpMss);
-        net::vxlan_encap(*skb, net::Ipv4Addr(192, 168, 1, 2),
-                         net::Ipv4Addr(192, 168, 1, 3), config_.overlay.vni);
+        if (tmpl_batch == batch) {
+          tmpl.stamp(*skb);
+        } else {
+          skb = net::make_udp_datagram(
+              std::move(skb),
+              net::FlowKey{
+                  net::Ipv4Addr(10, 0, 1, 2), net::Ipv4Addr(10, 0, 1, 3),
+                  static_cast<std::uint16_t>(40000 + (fidx & 0x3FFF)), 5000,
+                  net::Ipv4Header::kProtoUdp},
+              net::kTcpMss);
+          net::vxlan_encap(*skb, net::Ipv4Addr(192, 168, 1, 2),
+                           net::Ipv4Addr(192, 168, 1, 3),
+                           config_.overlay.vni);
+          tmpl.capture(*skb);
+          tmpl_batch = batch;
+        }
         skb->flow_id = static_cast<net::FlowId>(fidx + 1);
         skb->wire_seq = i;
         skb->microflow_id = batch;

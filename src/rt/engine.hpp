@@ -137,15 +137,20 @@ struct EngineConfig {
   };
   FlowTableConfig flow_table;
   /// Stateful NF plane: every worker runs the configured nf:: chain over
-  /// each surviving packet it processes, with per-flow state held per
-  /// `strategy` — kSharedLock: one shared control::FlowTable updated
-  /// through upsert_apply (the shard mutex is the lock every split packet
-  /// serializes on); kScr / kFlowAffinity: one PRIVATE single-writer table
-  /// per worker, folded into the merged state after join (exact, because
-  /// nf::FlowState is a lattice). In overlay mode the NAT stage rewrites
-  /// the real decapsulated header bytes. Tables are sized before thread
-  /// spawn, so the no-alloc steady state holds as long as `state_capacity`
-  /// covers the live flows.
+  /// each surviving packet it processes. The chain's updates for a RUN —
+  /// consecutive survivors of one flow within one micro-flow batch of a
+  /// worker's chunk — fold into a local delta (nf::RunFold) that merges
+  /// into the per-flow state once per run, held per `strategy` —
+  /// kSharedLock: one shared control::FlowTable updated through
+  /// upsert_apply (the shard mutex is the lock split packets serialize on,
+  /// one critical section per run); kScr / kFlowAffinity: one PRIVATE
+  /// single-writer table per worker, folded into the merged state after
+  /// join. Both merges are exact, because nf::FlowState is a lattice. In
+  /// overlay mode the NAT stage rewrites the real decapsulated header
+  /// bytes. Tables are built before thread spawn; a table's storage grows
+  /// only when it first meets a flow, so the steady state is
+  /// allocation-free once every table holds its flows or runs at
+  /// `state_capacity`, reusing evicted slots.
   struct NfConfig {
     bool enabled = false;
     nf::Strategy strategy = nf::Strategy::kScr;
@@ -224,6 +229,9 @@ struct EngineResult {
   std::uint64_t nf_packets = 0;
   std::uint64_t nf_nat_rewrites = 0;
   std::uint64_t nf_nat_rewrite_failures = 0;
+  /// kSharedLock critical sections: one per run (see EngineConfig::nf),
+  /// not per packet — packets / batch_size for a lossless run whose
+  /// worker chunks hold whole micro-flow batches.
   std::uint64_t nf_lock_acquires = 0;
   std::uint64_t nf_flows = 0;
   std::uint64_t nf_state_digest = 0;

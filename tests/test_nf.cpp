@@ -9,8 +9,10 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <vector>
 
+#include "control/flowtable.hpp"
 #include "experiment/scenario.hpp"
 #include "net/headers.hpp"
 #include "net/packet.hpp"
@@ -232,6 +234,133 @@ TEST(NfScr, MergeEqualsSharedLockOracleUnderSplitReorderLossRescale) {
   }
 }
 
+// --- per-run fold -------------------------------------------------------------
+//
+// nf::RunFold is what the rt workers drive: consecutive packets of one
+// (flow, micro-flow batch) fold into a local delta, merged into the table
+// once per run, and each worker chunk flushes its open run. Streams here
+// switch flows mid-chunk, bring flows back in non-adjacent runs, and mix
+// in runs of length 1. Every strategy's table layout must end up holding,
+// per flow, exactly what per-packet nf::apply computes in order — and the
+// shared-lock table must be entered once per run.
+TEST(NfRunFold, EqualsPerPacketApplyUnderEveryStrategy) {
+  nf::ChainConfig cfg;
+  cfg.chain = {nf::Kind::kNat, nf::Kind::kFirewall, nf::Kind::kLoadBalancer};
+  const auto maglev =
+      nf::MaglevTable::build(cfg.lb_backends, cfg.lb_table_size, cfg.lb_seed);
+  struct Pkt {
+    net::FlowId fid;
+    std::uint64_t batch;
+    nf::PacketView view;
+  };
+  const auto view_for = [](net::FlowId fid, util::Rng& rng) {
+    nf::PacketView v;
+    v.flow = key_of(static_cast<int>(fid));
+    v.wire_bytes = 54 + static_cast<std::uint32_t>(rng.uniform(1446));
+    v.segs = 1 + static_cast<std::uint32_t>(rng.uniform(3));
+    const std::uint8_t flag_sets[] = {nf::kTcpFlagSyn,
+                                      nf::kTcpFlagSyn | nf::kTcpFlagAck,
+                                      nf::kTcpFlagAck, nf::kTcpFlagFin, 0};
+    v.tcp_flags = flag_sets[rng.uniform(5)];
+    return v;
+  };
+
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    util::Rng rng(seed);
+    // Stream of runs: flow drawn from a small set (so flows recur in
+    // non-adjacent runs), lengths 1..6 with length 1 common. Then cut into chunks at random points, so a chunk
+    // boundary can split a run and a chunk can hold several flows.
+    std::vector<Pkt> stream;
+    std::uint64_t batch = 0;
+    for (int r = 0; r < 120; ++r) {
+      const auto fid = static_cast<net::FlowId>(1 + rng.uniform(5));
+      // A new batch usually opens with the run; when it does not, a flow
+      // switch alone must end the run.
+      if (rng.chance(0.7)) ++batch;
+      const std::uint64_t len = rng.chance(0.4) ? 1 : 1 + rng.uniform(6);
+      for (std::uint64_t k = 0; k < len; ++k)
+        stream.push_back({fid, batch, view_for(fid, rng)});
+    }
+    std::vector<std::size_t> cuts = {0};
+    while (cuts.back() < stream.size())
+      cuts.push_back(std::min(stream.size(), cuts.back() + 1 + rng.uniform(9)));
+
+    std::map<net::FlowId, nf::FlowState> oracle;
+    for (const auto& p : stream)
+      for (const auto kind : cfg.chain)
+        nf::apply(cfg, &maglev, kind, p.view, oracle[p.fid]);
+    std::uint64_t runs = 0;
+    for (std::size_t c = 0; c + 1 < cuts.size(); ++c)
+      for (std::size_t i = cuts[c]; i < cuts[c + 1]; ++i)
+        runs += i == cuts[c] || stream[i].fid != stream[i - 1].fid ||
+                stream[i].batch != stream[i - 1].batch;
+
+    for (const auto strat :
+         {nf::Strategy::kSharedLock, nf::Strategy::kFlowAffinity,
+          nf::Strategy::kScr}) {
+      // kSharedLock: one sharded table, every run one critical section.
+      // kScr: chunks dealt round-robin over two replicas (the split).
+      // kFlowAffinity: each flow pinned to one replica.
+      const std::size_t tables = strat == nf::Strategy::kSharedLock ? 1 : 2;
+      std::vector<std::unique_ptr<control::FlowTable<nf::FlowState>>> tbl;
+      for (std::size_t t = 0; t < tables; ++t)
+        tbl.push_back(std::make_unique<control::FlowTable<nf::FlowState>>(
+            control::FlowTableParams{8, 1024, 0}));
+      std::uint64_t merges = 0;
+      nf::RunFold fold(cfg, &maglev);
+      for (std::size_t c = 0; c + 1 < cuts.size(); ++c) {
+        const auto sink = [&](net::FlowId fid, std::uint64_t b,
+                              const nf::FlowState& delta) {
+          ++merges;
+          const std::size_t t =
+              strat == nf::Strategy::kSharedLock ? 0
+              : strat == nf::Strategy::kScr      ? c % 2
+                                                 : fid % 2;
+          tbl[t]->upsert_apply(fid, static_cast<sim::Time>(b),
+                               [&](nf::FlowState& st) { nf::merge(st, delta); });
+        };
+        for (std::size_t i = cuts[c]; i < cuts[c + 1]; ++i) {
+          const auto& p = stream[i];
+          const nf::FlowState& run = fold.add(p.fid, p.batch, p.view, sink);
+          // The binding a packet reads mid-run is the table's binding.
+          EXPECT_EQ(run.nat.ext_port, nf::nat_port_for(cfg, p.view.flow));
+          EXPECT_EQ(run.lb.backend, maglev.backend_for(p.view.flow) + 1);
+        }
+        fold.flush(sink);
+      }
+      EXPECT_EQ(merges, runs) << "seed " << seed;
+
+      std::map<net::FlowId, nf::FlowState> merged;
+      for (const auto& t : tbl)
+        t->for_each([&](net::FlowId fid, const nf::FlowState& st) {
+          nf::merge(merged[fid], st);
+        });
+      ASSERT_EQ(merged.size(), oracle.size()) << "seed " << seed;
+      for (const auto& [fid, st] : oracle)
+        EXPECT_EQ(merged.at(fid), st)
+            << nf::strategy_name(strat) << " seed " << seed << " flow "
+            << fid;
+    }
+  }
+}
+
+TEST(NfRunFold, FlushWithoutOpenRunIsANoOp) {
+  nf::ChainConfig cfg;
+  nf::RunFold fold(cfg, nullptr);
+  int calls = 0;
+  const auto sink = [&](net::FlowId, std::uint64_t, const nf::FlowState&) {
+    ++calls;
+  };
+  fold.flush(sink);
+  EXPECT_EQ(calls, 0);
+  nf::PacketView v;
+  v.flow = key_of(1);
+  fold.add(1, 1, v, sink);
+  fold.flush(sink);
+  fold.flush(sink);  // the run is closed: nothing left to merge
+  EXPECT_EQ(calls, 1);
+}
+
 // --- DES engine: strategies agree end-to-end --------------------------------
 //
 // Paced lossless TCP through the full simulated stack with MFLOW splitting
@@ -349,4 +478,105 @@ TEST(NfRtEngine, StateCountsSurvivorsOnlyUnderLoss) {
   for (const auto& [fid, st] : res.nf_state) segs += st.fw.segs;
   EXPECT_EQ(segs, res.packets);
   EXPECT_EQ(res.nf_packets, res.packets);
+}
+
+namespace {
+
+/// The rt-churn-lock shape: metadata-only packets, a churning flow table
+/// (a fresh flow every `lifetime` batches), nat->fw->lb.
+rt::EngineConfig churn_nf_config(nf::Strategy strat,
+                                 std::uint64_t lifetime = 8) {
+  rt::EngineConfig rc;
+  rc.workers = 2;
+  rc.batch_size = 64;
+  rc.cost_ns_per_packet = 0;
+  rc.max_push_spins = 0;
+  rc.flow_table.enabled = true;
+  rc.flow_table.flow_lifetime_batches = lifetime;
+  rc.nf.enabled = true;
+  rc.nf.strategy = strat;
+  rc.nf.chain.chain = {nf::Kind::kNat, nf::Kind::kFirewall,
+                       nf::Kind::kLoadBalancer};
+  return rc;
+}
+
+rt::EngineConfig overlay_nf_config(nf::Strategy strat) {
+  rt::EngineConfig rc = churn_nf_config(strat);
+  rc.flow_table.enabled = false;
+  rc.overlay.enabled = true;
+  rc.overlay.cache = true;
+  rc.overlay.flows = 8;
+  return rc;
+}
+
+}  // namespace
+
+// The FULL merged state — every flow's FlowState, not only the digest —
+// must equal a single-threaded per-packet oracle over the delivered stream,
+// through real threads, injected drops (upstream of the NF) and two live
+// rescales, for the overlay and churn configurations under every strategy.
+// The oracle re-derives each delivered packet's view: the NAT rewrite
+// changes bytes, never the flow metadata or the length the view reads.
+TEST(NfRtEngine, MergedStateEqualsPerPacketOracleUnderDropsAndRescales) {
+  constexpr std::uint64_t kTotal = 64 * 200 + 37;  // partial final batch
+  for (const bool overlay : {true, false}) {
+    for (const auto strat :
+         {nf::Strategy::kSharedLock, nf::Strategy::kFlowAffinity,
+          nf::Strategy::kScr}) {
+      rt::EngineConfig rc = overlay ? overlay_nf_config(strat)
+                                    : churn_nf_config(strat, /*lifetime=*/3);
+      rc.fault_drop_rate = 0.03;
+      rc.fault_seed = 11;
+      rc.rescales = {{4000, 1}, {9000, 2}};
+      const auto maglev = nf::MaglevTable::build(rc.nf.chain.lb_backends,
+                                                 rc.nf.chain.lb_table_size,
+                                                 rc.nf.chain.lb_seed);
+      std::map<net::FlowId, nf::FlowState> oracle;
+      const auto res =
+          rt::Engine(rc).run(kTotal, [&](const rt::RtPacket& pkt) {
+            if (!pkt.skb) return;
+            const nf::PacketView v = nf::view_of(*pkt.skb);
+            for (const auto kind : rc.nf.chain.chain)
+              nf::apply(rc.nf.chain, &maglev, kind, v,
+                        oracle[pkt.skb->flow_id]);
+          });
+      const std::string tag = std::string(overlay ? "overlay " : "churn ") +
+                              std::string(nf::strategy_name(strat));
+      ASSERT_TRUE(res.in_order) << tag;
+      ASSERT_GT(res.packets_dropped, 0u) << tag;
+      ASSERT_EQ(res.rescales_applied, 2u) << tag;
+      EXPECT_EQ(res.nf_packets, res.packets) << tag;
+      const std::vector<std::pair<net::FlowId, nf::FlowState>> want(
+          oracle.begin(), oracle.end());
+      EXPECT_EQ(res.nf_state, want) << tag;
+      std::uint64_t h = 0;
+      for (const auto& [fid, st] : want) h = nf::fold_digest(h, fid, st);
+      EXPECT_EQ(res.nf_state_digest, h) << tag;
+    }
+  }
+}
+
+// kSharedLock enters the shared table once per run — one flow within one
+// micro-flow batch of a worker chunk — not once per packet. Lossless, with
+// chunks holding whole batches (kChunk is a multiple of 64), that is one
+// critical section per batch, the partial final one included.
+TEST(NfRtEngine, SharedLockEnteredOncePerMicroflowBatch) {
+  constexpr std::uint64_t kTotal = 64 * 300 + 10;
+  constexpr std::uint64_t kBatches = 301;
+  for (const bool overlay : {true, false}) {
+    const rt::EngineConfig rc = overlay
+                                    ? overlay_nf_config(nf::Strategy::kSharedLock)
+                                    : churn_nf_config(nf::Strategy::kSharedLock);
+    const auto res = rt::Engine(rc).run(kTotal);
+    ASSERT_TRUE(res.in_order);
+    ASSERT_EQ(res.packets, kTotal);
+    EXPECT_EQ(res.nf_packets, kTotal);
+    EXPECT_EQ(res.nf_lock_acquires, kBatches)
+        << (overlay ? "overlay" : "churn");
+  }
+  // The replica strategies take no lock at all.
+  EXPECT_EQ(rt::Engine(churn_nf_config(nf::Strategy::kScr))
+                .run(kTotal)
+                .nf_lock_acquires,
+            0u);
 }

@@ -162,6 +162,42 @@ TEST(PacketPoolDeathTest, LeakedSlabAbortsAtPoolDestruction) {
       "still in use");
 }
 
+namespace {
+
+/// Runs `cfg` for `total` packets (lossless, two rescales expected) and
+/// returns the allocations any thread made while the consumer delivered
+/// seqs [from, to) — the steady-state window.
+std::uint64_t steady_state_allocs(const rt::EngineConfig& cfg,
+                                  std::uint64_t total, std::uint64_t from,
+                                  std::uint64_t to) {
+  std::atomic<std::uint64_t> at_start{0}, at_end{0};
+  std::atomic<std::uint64_t> missing_skb{0};
+  const auto res = rt::Engine(cfg).run(total, [&](const rt::RtPacket& pkt) {
+    if (!pkt.skb) missing_skb.fetch_add(1, std::memory_order_relaxed);
+    if (pkt.seq == from)
+      at_start.store(g_new_calls.load(), std::memory_order_relaxed);
+    else if (pkt.seq == to)
+      at_end.store(g_new_calls.load(), std::memory_order_relaxed);
+  });
+  EXPECT_TRUE(res.in_order);
+  EXPECT_EQ(res.packets, total);
+  EXPECT_EQ(res.packets_dropped, 0u);
+  EXPECT_EQ(res.rescales_applied, 2u);
+  EXPECT_EQ(res.decap_failures, 0u);
+  EXPECT_EQ(missing_skb.load(), 0u);
+  EXPECT_GT(res.pool_acquired, 0u);
+  if (cfg.overlay.cache) {
+    EXPECT_GT(res.cache_hits, 0u);
+    EXPECT_GT(res.cache_invalidations, 0u);  // the rescales bit
+  }
+  if (cfg.nf.enabled) {
+    EXPECT_EQ(res.nf_packets, total);
+  }
+  return at_end.load() - at_start.load();
+}
+
+}  // namespace
+
 // The tentpole invariant: once the rt pipeline reaches steady state, NO
 // thread touches the global allocator — packets live in pool slabs, rings
 // move handles, recycling is ring-based. The window [2000, 18000) skips
@@ -176,34 +212,24 @@ TEST(PacketPool, EngineSteadyStateIsAllocationFree) {
   cfg.cost_ns_per_packet = 0;
   cfg.max_push_spins = 0;  // lossless: backpressure, never drop
   cfg.rescales = {{6000, 1}, {11000, 2}};
-  constexpr std::uint64_t kTotal = 20000;
-  std::atomic<std::uint64_t> at_start{0}, at_end{0};
-  std::atomic<std::uint64_t> missing_skb{0};
-  const auto res = rt::Engine(cfg).run(kTotal, [&](const rt::RtPacket& pkt) {
-    if (!pkt.skb) missing_skb.fetch_add(1, std::memory_order_relaxed);
-    if (pkt.seq == 2000)
-      at_start.store(g_new_calls.load(), std::memory_order_relaxed);
-    else if (pkt.seq == 18000)
-      at_end.store(g_new_calls.load(), std::memory_order_relaxed);
-  });
-  ASSERT_TRUE(res.in_order);
-  ASSERT_EQ(res.packets, kTotal);
-  ASSERT_EQ(res.packets_dropped, 0u);
-  ASSERT_EQ(res.rescales_applied, 2u);
-  EXPECT_EQ(missing_skb.load(), 0u);
-  EXPECT_GT(res.pool_acquired, 0u);
   // Zero allocations across 16k steady-state packets, from ANY thread.
-  EXPECT_EQ(at_end.load() - at_start.load(), 0u)
-      << "rt hot path allocated " << (at_end.load() - at_start.load())
-      << " times between seq 2000 and 18000";
+  EXPECT_EQ(steady_state_allocs(cfg, 20000, 2000, 18000), 0u)
+      << "rt hot path allocated between seq 2000 and 18000";
 }
 
 // The acceptance bar for the fast-path cache: overlay mode builds real
-// VXLAN bytes into every slab, workers probe per-worker cache tables and
-// splice on hits — all of it inside the same zero-allocation envelope.
-// Cache tables are sized before thread spawn; encap stays within the
-// slab's fixed byte reserve; rescale epochs invalidate entries without
-// touching the heap.
+// VXLAN bytes into every slab (the first of each micro-flow batch through
+// the header builders, the rest copied from its template), workers probe
+// per-worker cache tables and splice on hits — all of it inside the same
+// zero-allocation envelope. Cache tables are sized before thread spawn;
+// encap and template copies stay within the slab's fixed byte reserve;
+// rescale epochs invalidate entries without touching the heap. The NF
+// variants add nat->fw->lb: each run's state folds into a stack-resident
+// delta and merges into the shared table (one upsert_apply) or the
+// worker's replica (one upsert). A table's storage grows when it first
+// meets a flow, so the NF variants use an odd flow count: under any
+// worker mapping every worker meets every flow long before the window,
+// and the rescales inside it bring no new flow to any replica.
 TEST(PacketPool, OverlayCachedSteadyStateIsAllocationFree) {
   rt::EngineConfig cfg;
   cfg.workers = 2;
@@ -214,27 +240,50 @@ TEST(PacketPool, OverlayCachedSteadyStateIsAllocationFree) {
   cfg.overlay.enabled = true;
   cfg.overlay.cache = true;
   cfg.overlay.flows = 8;
-  constexpr std::uint64_t kTotal = 20000;
-  std::atomic<std::uint64_t> at_start{0}, at_end{0};
-  std::atomic<std::uint64_t> missing_skb{0};
-  const auto res = rt::Engine(cfg).run(kTotal, [&](const rt::RtPacket& pkt) {
-    if (!pkt.skb) missing_skb.fetch_add(1, std::memory_order_relaxed);
-    if (pkt.seq == 2000)
-      at_start.store(g_new_calls.load(), std::memory_order_relaxed);
-    else if (pkt.seq == 18000)
-      at_end.store(g_new_calls.load(), std::memory_order_relaxed);
-  });
-  ASSERT_TRUE(res.in_order);
-  ASSERT_EQ(res.packets, kTotal);
-  ASSERT_EQ(res.packets_dropped, 0u);
-  ASSERT_EQ(res.rescales_applied, 2u);
-  ASSERT_EQ(res.decap_failures, 0u);
-  EXPECT_EQ(missing_skb.load(), 0u);
-  EXPECT_GT(res.cache_hits, 0u);
-  EXPECT_GT(res.cache_invalidations, 0u);  // the rescales bit
-  EXPECT_EQ(at_end.load() - at_start.load(), 0u)
-      << "overlay fast path allocated " << (at_end.load() - at_start.load())
-      << " times between seq 2000 and 18000";
+  EXPECT_EQ(steady_state_allocs(cfg, 20000, 2000, 18000), 0u)
+      << "overlay fast path allocated between seq 2000 and 18000";
+  cfg.overlay.flows = 7;
+  cfg.nf.enabled = true;
+  cfg.nf.chain.chain = {nf::Kind::kNat, nf::Kind::kFirewall,
+                        nf::Kind::kLoadBalancer};
+  for (const auto strat : {nf::Strategy::kSharedLock, nf::Strategy::kScr}) {
+    cfg.nf.strategy = strat;
+    EXPECT_EQ(steady_state_allocs(cfg, 20000, 2000, 18000), 0u)
+        << "overlay + nat->fw->lb (" << nf::strategy_name(strat)
+        << ") allocated between seq 2000 and 18000";
+  }
+}
+
+// The rt-churn-lock shape: metadata-only packets, a fresh flow every few
+// batches registered in the churn flow table and swept out when idle, and
+// nat->fw->lb under the shared lock. Flows keep arriving, so the window
+// opens once both tables hold their steady population: the churn table's
+// live set is bounded by its ttl (expired slots are reused, and the sweep
+// drops values in place), and the NF table runs at its capacity, evicting
+// its oldest flow for each new one — slot reuse, no growth.
+TEST(PacketPool, ChurnLockSteadyStateIsAllocationFree) {
+  rt::EngineConfig cfg;
+  cfg.workers = 2;
+  cfg.batch_size = 64;
+  cfg.cost_ns_per_packet = 0;
+  cfg.max_push_spins = 0;
+  cfg.rescales = {{20000, 1}, {30000, 2}};
+  cfg.flow_table.enabled = true;
+  cfg.flow_table.flow_lifetime_batches = 2;
+  cfg.flow_table.ttl_batches = 32;
+  cfg.flow_table.sweep_every = 8;
+  // One shard keeps the churn table's live set (and so its storage
+  // high-water mark) deterministic; a small NF capacity has every shard
+  // of the shared table evicting well before the window.
+  cfg.flow_table.shards = 1;
+  cfg.nf.enabled = true;
+  cfg.nf.strategy = nf::Strategy::kSharedLock;
+  cfg.nf.shared_shards = 8;
+  cfg.nf.state_capacity = 32;
+  cfg.nf.chain.chain = {nf::Kind::kNat, nf::Kind::kFirewall,
+                        nf::Kind::kLoadBalancer};
+  EXPECT_EQ(steady_state_allocs(cfg, 48000, 16000, 44000), 0u)
+      << "churn + nat->fw->lb (lock) allocated between seq 16000 and 44000";
 }
 
 // Pool smaller than the packets in flight: the generator must backpressure

@@ -3,11 +3,14 @@
 // any worker count and batch size.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <memory>
 #include <thread>
 #include <vector>
 
+#include "net/packet.hpp"
+#include "nf/nf.hpp"
 #include "rt/calibrate.hpp"
 #include "rt/engine.hpp"
 #include "rt/spsc_ring.hpp"
@@ -396,4 +399,99 @@ TEST(RtEngine, FlowTableOverlayHotSetNeverExpires) {
   EXPECT_EQ(res.flow_table.peak, 8u);
   EXPECT_EQ(res.flow_table.live, 8u);
   EXPECT_EQ(res.flow_table.expired, 0u);
+}
+
+// The generator builds only each micro-flow batch's first overlay frame
+// and stamps the rest from its header template. Every delivered packet —
+// decapsulated by the worker (full decap on a cache miss, splice on a hit)
+// and NAT-rewritten when the chain has NAT — must equal a reference built
+// per packet with make_udp_datagram + vxlan_encap, decapsulated and
+// rewritten the same way: bytes, buffer geometry and metadata. The run
+// includes the first batches after two rescales and a partial final batch.
+TEST(RtEngine, OverlayTemplateFramesMatchPerPacketBuild) {
+  using namespace mflow;
+  constexpr std::uint64_t kTotal = 64 * 150 + 23;
+  for (const bool nat : {false, true}) {
+    EngineConfig cfg;
+    cfg.workers = 2;
+    cfg.batch_size = 64;
+    cfg.cost_ns_per_packet = 0;
+    cfg.max_push_spins = 0;
+    cfg.rescales = {{3200, 1}, {6400, 2}};
+    cfg.overlay.enabled = true;
+    cfg.overlay.cache = true;
+    cfg.overlay.flows = 8;
+    if (nat) {
+      cfg.nf.enabled = true;
+      cfg.nf.chain.chain = {nf::Kind::kNat};
+    }
+    std::uint64_t checked = 0, mismatched = 0;
+    const auto res = Engine(cfg).run(kTotal, [&](const RtPacket& pkt) {
+      ASSERT_TRUE(pkt.skb);
+      const net::Packet& got = *pkt.skb;
+      const std::uint64_t fidx = pkt.batch % cfg.overlay.flows;
+      const net::FlowKey key{
+          net::Ipv4Addr(10, 0, 1, 2), net::Ipv4Addr(10, 0, 1, 3),
+          static_cast<std::uint16_t>(40000 + fidx), 5000,
+          net::Ipv4Header::kProtoUdp};
+      auto ref = net::make_udp_datagram(key, net::kTcpMss);
+      net::vxlan_encap(*ref, net::Ipv4Addr(192, 168, 1, 2),
+                       net::Ipv4Addr(192, 168, 1, 3), cfg.overlay.vni);
+      ASSERT_TRUE(net::vxlan_decap(*ref).ok);
+      if (nat) {
+        ASSERT_TRUE(nf::nat_rewrite(cfg.nf.chain, *ref,
+                                    nf::nat_port_for(cfg.nf.chain, key)));
+      }
+      const auto a = got.buf.data();
+      const auto b = ref->buf.data();
+      const bool same =
+          std::equal(a.begin(), a.end(), b.begin(), b.end()) &&
+          got.buf.headroom() == ref->buf.headroom() && got.flow == key &&
+          got.payload_len == ref->payload_len &&
+          got.encapsulated == ref->encapsulated &&
+          got.flow_id == fidx + 1 && got.wire_seq == pkt.seq &&
+          got.microflow_id == pkt.batch && got.gro_segs == 1;
+      if (!same && mismatched++ == 0)
+        ADD_FAILURE() << "first mismatch at seq " << pkt.seq
+                      << (nat ? " (nat)" : "");
+      ++checked;
+    });
+    ASSERT_TRUE(res.in_order);
+    EXPECT_EQ(checked, kTotal);
+    EXPECT_EQ(mismatched, 0u);
+    EXPECT_EQ(res.rescales_applied, 2u);
+    EXPECT_GT(res.cache_hits, 0u);
+    if (nat) {
+      EXPECT_EQ(res.nf_nat_rewrites, kTotal);
+    }
+  }
+}
+
+// End-of-stream race: the consumer decides a dry merge head can be skipped
+// only from a worker-exit count it read BEFORE its dry pop. Reading it
+// after let a final deposit land in between and be discarded, hanging the
+// run. Many one-batch runs on the rt-churn-lock shape (2 workers, churning
+// flow table, nat->fw->lb under the shared lock) hit that window often; a
+// regression hangs here, which ctest's TIMEOUT on this binary turns into a
+// failure.
+TEST(RtEngine, BackToBackShortRunsNeverHangAtEndOfStream) {
+  using namespace mflow;
+  EngineConfig cfg;
+  cfg.workers = 2;
+  cfg.batch_size = 64;
+  cfg.cost_ns_per_packet = 0;
+  cfg.max_push_spins = 0;
+  cfg.flow_table.enabled = true;
+  cfg.flow_table.flow_lifetime_batches = 8;
+  cfg.nf.enabled = true;
+  cfg.nf.strategy = nf::Strategy::kSharedLock;
+  cfg.nf.shared_shards = 8;
+  cfg.nf.chain.chain = {nf::Kind::kNat, nf::Kind::kFirewall,
+                        nf::Kind::kLoadBalancer};
+  for (int run = 0; run < 2500; ++run) {
+    const auto res = Engine(cfg).run(64);
+    ASSERT_TRUE(res.in_order) << "run " << run;
+    ASSERT_EQ(res.packets, 64u) << "run " << run;
+    ASSERT_EQ(res.nf_lock_acquires, 1u) << "run " << run;
+  }
 }
