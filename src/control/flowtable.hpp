@@ -17,18 +17,17 @@
 //
 // Recency is explicit and *monotone*: upsert() stamps new entries and
 // touch() refreshes existing ones, but a touch with a timestamp older than
-// the entry's is a no-op. That keeps the chain sorted by last-seen even
-// when touches arrive out of order (rt workers processing old batches
-// behind the generator), which is what makes expire_idle() deterministic:
-// it pops from the head while `last_seen <= now - ttl` and stops at the
-// first survivor.
+// the entry's is a no-op, so the chain stays sorted by last-seen. That is
+// what makes expire_idle() deterministic: it pops from the head while
+// `last_seen <= now - ttl` and stops at the first survivor.
 //
 // Values live in a per-shard vector parallel to the slot arrays. find() /
 // upsert() return pointers/references into it: they remain valid until the
 // next mutating call on the same shard — which makes writing through them
 // safe ONLY for single-threaded users (the DES control plane). Concurrent
 // writers must use upsert_apply(), which runs the value mutation inside
-// the shard's critical section; the rt engine's workers only touch().
+// the shard's critical section, as the rt engine's shared-lock NF workers
+// do.
 #pragma once
 
 #include <algorithm>

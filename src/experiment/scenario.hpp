@@ -30,7 +30,8 @@ namespace mflow::exp {
 /// Prefer building a ScenarioConfig through exp::ScenarioBuilder (below):
 /// it validates at build() time and names the option clusters, so a typo'd
 /// layout fails where it was written instead of inside run_scenario().
-/// Direct field-poking remains supported as a deprecated shim for one PR.
+/// Assigning fields directly is also supported; validate() then runs
+/// inside run_scenario().
 struct ScenarioConfig {
   Mode mode = Mode::kVanilla;
   std::uint8_t protocol = net::Ipv4Header::kProtoTcp;
@@ -355,7 +356,8 @@ struct ScenarioResult {
   double utilization_stddev_pct(int first_core, int count) const;
 };
 
-/// Fluent builder for ScenarioConfig — the supported construction path.
+/// Fluent builder for ScenarioConfig — the validate-at-build construction
+/// path.
 ///
 /// Scalar knobs are chainable setters; the option clusters (faults,
 /// tracing, fastpath, control, nf, elastic) each take a configurator

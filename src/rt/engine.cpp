@@ -145,8 +145,7 @@ EngineResult Engine::run(
   for (std::size_t i = 0; i < W; ++i)
     split_rings.push_back(
         std::make_unique<SpscRing<RtPacket>>(config_.ring_capacity));
-  RtReassembler merger(W, config_.ring_capacity,
-                       std::max<std::size_t>(64, config_.rescales.size()));
+  RtReassembler merger(W, config_.ring_capacity);
 
   // Consumer -> generator slab return path. Ring-based recycling keeps the
   // steady state free of pool CAS traffic (the Treiber free list is only
@@ -219,22 +218,30 @@ EngineResult Engine::run(
   std::vector<OverlayCounts> ov_counts(W);
 
   // Flow-state plane (churn mode): one shared FlowTable, created before
-  // thread spawn. The generator inserts/sweeps; workers only touch() —
-  // which never allocates — so the no-alloc steady state holds for them.
-  struct FlowStat {
-    std::uint64_t batches = 0;
-  };
-  std::unique_ptr<control::FlowTable<FlowStat>> ftable_storage;
+  // thread spawn and driven by the generator alone — it registers and
+  // touches each batch's flow, then sweeps. The table tracks presence and
+  // recency only, so its value type is empty.
+  struct NoValue {};
+  std::unique_ptr<control::FlowTable<NoValue>> ftable_storage;
   if (config_.flow_table.enabled) {
-    ftable_storage = std::make_unique<control::FlowTable<FlowStat>>(
+    ftable_storage = std::make_unique<control::FlowTable<NoValue>>(
         control::FlowTableParams{
             config_.flow_table.shards, config_.flow_table.capacity,
             static_cast<sim::Time>(
                 std::max<std::uint64_t>(config_.flow_table.ttl_batches, 1))});
   }
-  control::FlowTable<FlowStat>* const ftable = ftable_storage.get();
+  control::FlowTable<NoValue>* const ftable = ftable_storage.get();
   const std::uint64_t flow_life =
       std::max<std::uint64_t>(config_.flow_table.flow_lifetime_batches, 1);
+  // Flow identity of micro-flow batch `b`: the one rule the generator both
+  // stamps packets and registers flows with. Overlay mode cycles a hot set
+  // of overlay.flows inner flows, the churn generator starts a fresh flow
+  // every flow_lifetime_batches, and otherwise each batch is its own flow.
+  const auto flow_of = [&](std::uint64_t b) -> net::FlowId {
+    if (overlay_on) return b % overlay_flows + 1;
+    if (ftable != nullptr) return b / flow_life + 1;
+    return b;
+  };
 
   // NF plane: Maglev table and every state table built BEFORE thread spawn.
   // The shared table's shard mutex is the kSharedLock lock; the private
@@ -318,14 +325,6 @@ EngineResult Engine::run(
       ThreadTrace wt(tr, t0, static_cast<int>(w));
       std::vector<RtPacket> chunk(kChunk);
       bool saw_last = false;
-      // Pure-forwarding configuration (no tracer, no synthetic cost, no
-      // fault injection, no overlay bytes to decapsulate): nothing in the
-      // per-packet loop below would fire, so whole chunks can be forwarded
-      // straight to the merger.
-      const bool forward_only = tr == nullptr &&
-                                config_.cost_ns_per_packet == 0 &&
-                                config_.fault_drop_rate <= 0.0 &&
-                                !overlay_on && ftable == nullptr && !nf_on;
       auto& cache = caches[w];
       const std::size_t slot_mask = cache.empty() ? 0 : cache.size() - 1;
       OverlayCounts ov;
@@ -371,35 +370,13 @@ EngineResult Engine::run(
             ++pc->occupancy_samples;
           }
         }
-        if (forward_only) {
-          // The end-of-stream packet is always the final element of its
-          // chunk (the generator emits in seq order).
-          saw_last = saw_last || chunk[n - 1].last;
-          const std::size_t ok = merger.deposit_batch(
-              w, chunk.data(), n, config_.max_push_spins, pc);
-          for (std::size_t i = ok; i < n; ++i) {
-            dropped.fetch_add(1, std::memory_order_release);
-            return_slab(std::move(chunk[i].skb));
-          }
-          continue;
-        }
         // Process in place; compact survivors to the front of the chunk so
         // one deposit_batch publishes them all.
         std::size_t m = 0;
-        std::uint64_t last_touched = 0;  // flow ids are >= 1 when tracked
         for (std::size_t i = 0; i < n; ++i) {
           RtPacket& pkt = chunk[i];
           saw_last = saw_last || pkt.last;
           wt.event(trace::EventKind::kRingDequeue, pkt.seq, pkt.batch);
-          if (ftable != nullptr && !pkt.marker && pkt.skb &&
-              pkt.skb->flow_id != last_touched) {
-            // Replay the flow's own batch index: monotone against the
-            // generator's stamp, so this keeps recency live without ever
-            // perturbing the deterministic expiry order.
-            ftable->touch(pkt.skb->flow_id,
-                          static_cast<sim::Time>(pkt.batch));
-            last_touched = pkt.skb->flow_id;
-          }
           if (overlay_on && !pkt.marker && pkt.skb) {
             net::Packet& skb = *pkt.skb;
             bool spliced = false;
@@ -604,17 +581,18 @@ EngineResult Engine::run(
   // then close every previously-active ring with an epoch-flush marker so
   // the consumer can prove its final old-epoch batch is complete — after
   // a shrink no later batch would ever arrive there to provide the FIFO
-  // evidence.
+  // evidence. Returns false when the merger refuses the epoch (its
+  // pending-epoch budget is full): the old mapping then stays in force and
+  // the caller retries at a later boundary, so generator and merger always
+  // agree on which ring owns a batch.
   auto apply_active = [&](std::size_t requested_workers) {
     const std::size_t nw = std::min<std::size_t>(
         std::max<std::size_t>(requested_workers, 1), W);
-    if (nw == w_active) return;  // no mapping change, no epoch needed
-    const std::size_t old_active = w_active;
-    w_active = nw;
-    epoch_first = batch;
-    if (merger.announce_epoch({batch, static_cast<std::uint32_t>(w_active)}))
-      ++rescales_applied;
-    for (std::size_t w2 = 0; w2 < old_active; ++w2) {
+    if (nw == w_active) return true;  // no mapping change, no epoch needed
+    if (!merger.announce_epoch({batch, static_cast<std::uint32_t>(nw)}))
+      return false;
+    ++rescales_applied;
+    for (std::size_t w2 = 0; w2 < w_active; ++w2) {
       RtPacket mark;
       mark.batch = batch;
       mark.marker = true;
@@ -626,8 +604,11 @@ EngineResult Engine::run(
         std::this_thread::yield();
       }
     }
+    w_active = nw;
+    epoch_first = batch;
     capacity_.active.store(static_cast<std::uint32_t>(w_active),
                            std::memory_order_release);
+    return true;
   };
   ThreadTrace gt(tr, t0, static_cast<int>(W) + 1);  // generator track
   std::vector<RtPacket> stage(kChunk);
@@ -637,6 +618,7 @@ EngineResult Engine::run(
   StallClock pool_dry, out_full;
   std::uint64_t gen_chunks = 0;
   std::uint64_t gen_cas_acquires = 0;  // slabs drawn off the pool CAS list
+  net::FlowId flow = 0;  // flow_of(batch)
   HeaderTemplate tmpl;
   std::uint64_t tmpl_batch = 0;  // batch tmpl was captured in (batches are
                                  // numbered from 1, so 0 means none yet)
@@ -646,10 +628,9 @@ EngineResult Engine::run(
       ++batch;
       in_batch = 0;
       while (rescale_idx < config_.rescales.size() &&
-             i >= config_.rescales[rescale_idx].after_packets) {
-        apply_active(config_.rescales[rescale_idx].active_workers);
+             i >= config_.rescales[rescale_idx].after_packets &&
+             apply_active(config_.rescales[rescale_idx].active_workers))
         ++rescale_idx;
-      }
       // Live capacity request (rt::EngineCapacityAdapter). The schedule is
       // replayed first so a test that uses both has a defined order; the
       // request wins ties since it is the operator's latest word.
@@ -658,17 +639,13 @@ EngineResult Engine::run(
           req != 0)
         apply_active(req);
       target = static_cast<std::size_t>((batch - epoch_first) % w_active);
+      flow = flow_of(batch);
       if (ftable != nullptr) {
-        // Register the batch's flow before any of its packets are pushed,
-        // so worker touches can never race an unregistered flow into
-        // being missed. The clock is the batch index.
-        const net::FlowId fid =
-            overlay_on ? static_cast<net::FlowId>(batch % overlay_flows + 1)
-                       : static_cast<net::FlowId>(batch / flow_life + 1);
-        FlowStat& fs =
-            ftable->upsert(fid, static_cast<sim::Time>(batch));
-        fs.batches += 1;
-        ftable->touch(fid, static_cast<sim::Time>(batch));
+        // Register (or refresh) the batch's flow before any of its packets
+        // are pushed. The clock is the batch index, so recency and expiry
+        // follow the generator's deterministic schedule alone.
+        ftable->upsert(flow, static_cast<sim::Time>(batch));
+        ftable->touch(flow, static_cast<sim::Time>(batch));
         if (batch % std::max<std::uint64_t>(
                         config_.flow_table.sweep_every, 1) ==
             0)
@@ -732,7 +709,6 @@ EngineResult Engine::run(
         // belongs to one inner flow, so flow identity (and the worker-side
         // cache key) survives the round-robin split, and only the batch's
         // first slab is built; the rest copy its header template.
-        const std::uint64_t fidx = batch % overlay_flows;
         if (tmpl_batch == batch) {
           tmpl.stamp(*skb);
         } else {
@@ -740,7 +716,8 @@ EngineResult Engine::run(
               std::move(skb),
               net::FlowKey{
                   net::Ipv4Addr(10, 0, 1, 2), net::Ipv4Addr(10, 0, 1, 3),
-                  static_cast<std::uint16_t>(40000 + (fidx & 0x3FFF)), 5000,
+                  static_cast<std::uint16_t>(40000 + ((flow - 1) & 0x3FFF)),
+                  5000,
                   net::Ipv4Header::kProtoUdp},
               net::kTcpMss);
           net::vxlan_encap(*skb, net::Ipv4Addr(192, 168, 1, 2),
@@ -749,28 +726,21 @@ EngineResult Engine::run(
           tmpl.capture(*skb);
           tmpl_batch = batch;
         }
-        skb->flow_id = static_cast<net::FlowId>(fidx + 1);
-        skb->wire_seq = i;
-        skb->microflow_id = batch;
       } else {
-        // Stamp the skb the way the splitter stamps real packets. With the
-        // flow table on, flow identity follows the churn generator (a new
-        // flow every flow_lifetime_batches) instead of being per-batch.
-        skb->flow_id = ftable != nullptr
-                           ? static_cast<net::FlowId>(batch / flow_life + 1)
-                           : static_cast<net::FlowId>(batch);
-        skb->wire_seq = i;
-        skb->microflow_id = batch;
         skb->payload_len = net::kTcpMss;
         if (nf_on) {
           // Give each flow a distinct 5-tuple so the NF bindings (NAT
           // port, LB backend) are per-flow functions, as with real bytes.
           skb->flow = net::FlowKey{
               net::Ipv4Addr(10, 0, 1, 2), net::Ipv4Addr(10, 0, 1, 3),
-              static_cast<std::uint16_t>(40000 + (skb->flow_id & 0x3FFF)),
-              5000, net::Ipv4Header::kProtoUdp};
+              static_cast<std::uint16_t>(40000 + (flow & 0x3FFF)), 5000,
+              net::Ipv4Header::kProtoUdp};
         }
       }
+      // Stamp the skb the way the splitter stamps real packets.
+      skb->flow_id = flow;
+      skb->wire_seq = i;
+      skb->microflow_id = batch;
       stage[staged++] = RtPacket{i, batch, config_.cost_ns_per_packet,
                                  static_cast<std::uint32_t>(rescales_applied),
                                  i + 1 == total, std::move(skb)};

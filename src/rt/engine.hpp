@@ -113,14 +113,12 @@ struct EngineConfig {
     std::uint32_t vni = 42;
   };
   OverlayConfig overlay;
-  /// Flow-state plane (churn mode): the generator registers each batch's
-  /// flow in a shared control::FlowTable, workers touch entries while
-  /// processing, and the generator sweeps out idle flows — the rt twin of
-  /// the control plane's expiring flow table. The table's clock is the
-  /// BATCH INDEX, not wall time: worker touches replay a flow's own batch
-  /// number, which the monotone-touch rule turns into no-ops against the
-  /// generator's newer stamps, so peak/expired/live counts are
-  /// deterministic despite real threads.
+  /// Flow-state plane (churn mode): the generator registers and touches
+  /// each batch's flow in a control::FlowTable before pushing any of its
+  /// packets, and sweeps out idle flows every `sweep_every` batches — the
+  /// rt twin of the control plane's expiring flow table. The table's clock
+  /// is the BATCH INDEX, not wall time, and only the generator drives it,
+  /// so peak/expired/live counts are deterministic despite real threads.
   struct FlowTableConfig {
     bool enabled = false;
     std::size_t shards = 8;

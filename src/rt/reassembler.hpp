@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -57,26 +56,22 @@ class RtReassembler {
     std::uint32_t workers = 0;
   };
 
+  /// Rescale announcements that may wait for the merge counter to reach
+  /// them. An epoch stops counting once it is in force, so rescales over
+  /// the reassembler's lifetime are unbounded.
+  static constexpr std::size_t kMaxPendingEpochs = 64;
+
   /// `workers` buffer rings, each `ring_capacity_pow2` deep (power of two,
-  /// enforced by SpscRing's constructor). Up to `max_epochs` rescale
-  /// announcements are accepted over the reassembler's lifetime (storage is
-  /// pre-reserved so applying them allocates nothing).
-  RtReassembler(std::size_t workers, std::size_t ring_capacity_pow2,
-                std::size_t max_epochs = 64);
+  /// enforced by SpscRing's constructor).
+  RtReassembler(std::size_t workers, std::size_t ring_capacity_pow2);
 
-  /// Worker `w` deposits a processed packet (SPSC per worker).
-  /// A full ring is retried (with yield) at most `max_spins` times;
-  /// 0 means retry forever. Returns false when the retry budget is
-  /// exhausted — `pkt` is then left INTACT (its skb is not consumed), and
-  /// the caller owns the loss and must account for it so the consumer's
-  /// conservation check still terminates.
-  [[nodiscard]] bool deposit(std::size_t w, RtPacket&& pkt,
-                             std::uint32_t max_spins = 0);
-
-  /// Deposit `count` packets from `pkts` in order; returns how many were
-  /// accepted (a prefix — the rest are left intact for the caller to retry
-  /// or drop). Amortizes ring atomics across the batch; spins/yields like
-  /// deposit() only when the ring is full mid-batch.
+  /// Worker `w` deposits `count` processed packets from `pkts` in order
+  /// (SPSC per worker); returns how many were accepted (a prefix — the
+  /// rest are left intact, skbs included, for the caller to drop and
+  /// account for so the consumer's conservation check still terminates).
+  /// Amortizes ring atomics across the batch; a full ring is retried
+  /// (with yield) at most `max_spins` times without progress, 0 meaning
+  /// retry forever.
   ///
   /// `prof` (optional): full-ring stall episodes inside the deposit are
   /// charged to `prof->output_full_*` — the fan-in fabric's
@@ -87,16 +82,10 @@ class RtReassembler {
                                           std::uint32_t max_spins = 0,
                                           StageCounters* prof = nullptr);
 
-  /// Consumer: next packet in original flow order, or nullopt if the head
-  /// of the current micro-flow hasn't arrived yet.
-  std::optional<RtPacket> pop_ready();
-
   /// Consumer: pop up to `max` in-order packets into `out`, crossing
   /// micro-flow boundaries when the next micro-flow's head has already
   /// arrived. Returns how many were written; 0 means the merge head is dry
-  /// (same condition as pop_ready() == nullopt). Amortizes ring atomics
-  /// across whole micro-flow runs — the consumer-side twin of
-  /// deposit_batch().
+  /// (the current micro-flow's next packet has not arrived yet).
   std::size_t pop_ready_batch(RtPacket* out, std::size_t max);
 
   /// Micro-flows fully merged so far (consumer-private counter).
@@ -112,46 +101,31 @@ class RtReassembler {
   /// workers — the consumer observes packets only through an
   /// acquire/release chain rooted at that push, so the announcement is then
   /// guaranteed visible by the time the merge counter reaches the epoch.
-  /// Returns false when the epoch budget (`max_epochs`) is exhausted.
+  /// Returns false, announcing nothing, when the pending-epoch budget is
+  /// full: the caller keeps its old mapping and may retry at a later
+  /// boundary.
   [[nodiscard]] bool announce_epoch(Epoch e);
-
-  /// Consumer side: ring index owning `batch` under the epochs applied so
-  /// far (drains pending announcements first).
-  std::size_t owner_of(std::uint64_t batch);
-
-  /// A packet of `batch` was dropped before its deposit; informational —
-  /// the rt merge never stalls on holes (per-worker FIFO implies batch
-  /// completion), so this only feeds accounting.
-  void note_drop(std::uint64_t batch, std::uint32_t segs) {
-    drops_noted_ += segs;
-    (void)batch;
-  }
-  std::uint64_t drops_noted() const { return drops_noted_; }
-
-  /// All buffer rings empty — nothing deposited awaits merging. Quiescent
-  /// use only (consumer idle): the rescale-drain completion condition.
-  bool drained() const;
 
   /// Total packets currently buffered across all fan-in rings. Approximate
   /// from any thread (each ring's size is a racy-but-monotone snapshot);
   /// the scalability profiler samples it as the merge-side queue-pressure
-  /// signal.
+  /// signal. 0 on a quiescent pipeline means nothing awaits merging.
   std::size_t occupancy() const;
 
  private:
-  /// Drain pending epoch announcements into the applied table. Called on
-  /// every consumer lookup: cost is one empty-check on the epoch ring.
-  void apply_epochs();
+  /// Ring owning the micro-flow under merge. First puts in force every
+  /// pending epoch the merge counter has reached; later ones stay queued.
+  /// Costs one empty-check on the epoch ring when no rescale is pending.
+  std::size_t merge_owner();
 
   std::vector<std::unique_ptr<SpscRing<RtPacket>>> rings_;
   std::uint64_t merge_counter_ = 1;  // consumer-private
   std::uint64_t batches_merged_ = 0;
-  std::uint64_t drops_noted_ = 0;
 
+  /// Announced epochs not yet in force, ascending first_batch;
+  /// kMaxPendingEpochs deep.
   SpscRing<Epoch> epoch_ring_;
-  std::vector<Epoch> epochs_;  // applied, ascending first_batch; reserved
-  std::size_t max_epochs_;
-  std::size_t announced_ = 0;  // producer-private budget counter
+  Epoch current_;  // consumer-private: the epoch governing merge_counter_
 };
 
 }  // namespace mflow::rt

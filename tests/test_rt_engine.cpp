@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <deque>
 #include <memory>
 #include <thread>
@@ -179,22 +180,64 @@ TEST(Calibrate, RatePositiveAndStable) {
   EXPECT_DOUBLE_EQ(a, b);  // memoized
 }
 
+namespace {
+
+RtPacket pkt(std::uint64_t seq, std::uint64_t batch) {
+  RtPacket p;
+  p.seq = seq;
+  p.batch = batch;
+  return p;
+}
+
+// Pop every packet the merger can release now, appending seqs.
+void drain_seqs(RtReassembler& ra, std::vector<std::uint64_t>& seqs) {
+  std::array<RtPacket, 2> out;  // smaller than a batch: pops span calls
+  while (const std::size_t n = ra.pop_ready_batch(out.data(), out.size()))
+    for (std::size_t i = 0; i < n; ++i) seqs.push_back(out[i].seq);
+}
+
+}  // namespace
+
 TEST(RtReassembler, MergesRoundRobinBatches) {
   RtReassembler ra(2, 64);
   // Batch 1 -> worker 0, batch 2 -> worker 1, batch 3 -> worker 0.
-  ASSERT_TRUE(ra.deposit(1, RtPacket{2, 2, 0, false}));  // batch 2 first
-  ASSERT_TRUE(ra.deposit(0, RtPacket{0, 1, 0, false}));
-  ASSERT_TRUE(ra.deposit(0, RtPacket{1, 1, 0, false}));
-  ASSERT_TRUE(ra.deposit(0, RtPacket{3, 3, 0, false}));
+  RtPacket b2[] = {pkt(2, 2)};
+  RtPacket w0[] = {pkt(0, 1), pkt(1, 1), pkt(3, 3)};
+  ASSERT_EQ(ra.deposit_batch(1, b2, 1), 1u);  // batch 2 first
+  ASSERT_EQ(ra.deposit_batch(0, w0, 3), 3u);
   std::vector<std::uint64_t> seqs;
-  while (auto p = ra.pop_ready()) seqs.push_back(p->seq);
+  drain_seqs(ra, seqs);
   // Batch 2's ring is dry and no later batch proves it complete — that is
   // only knowable at end of stream, where the engine force-advances.
   EXPECT_EQ(seqs, (std::vector<std::uint64_t>{0, 1, 2}));
   ra.force_advance();
-  while (auto p = ra.pop_ready()) seqs.push_back(p->seq);
+  drain_seqs(ra, seqs);
   EXPECT_EQ(seqs, (std::vector<std::uint64_t>{0, 1, 2, 3}));
   EXPECT_EQ(ra.batches_merged(), 2u);
+  EXPECT_EQ(ra.occupancy(), 0u);
+}
+
+// The epoch budget bounds announcements still waiting for the merge
+// counter, not rescales over the merger's lifetime: a refused epoch is
+// accepted again once the counter reaches an earlier one.
+TEST(RtReassembler, EpochBudgetCountsOnlyPendingEpochs) {
+  RtReassembler ra(2, 64);
+  constexpr std::uint64_t kBudget = RtReassembler::kMaxPendingEpochs;
+  // One epoch per batch 2..kBudget+1, every batch on ring 0.
+  for (std::uint64_t b = 2; b < 2 + kBudget; ++b)
+    ASSERT_TRUE(ra.announce_epoch({b, 1})) << "batch " << b;
+  const RtReassembler::Epoch next{2 + kBudget, 1};
+  EXPECT_FALSE(ra.announce_epoch(next));  // kBudget pending: budget full
+  // Batch 1 (epoch {1,2}) and batch 2 both live on ring 0; batch 2's head
+  // proves batch 1 complete, so the counter reaches batch 2 and puts its
+  // epoch in force, freeing exactly one slot.
+  RtPacket w0[] = {pkt(0, 1), pkt(1, 2)};
+  ASSERT_EQ(ra.deposit_batch(0, w0, 2), 2u);
+  std::vector<std::uint64_t> seqs;
+  drain_seqs(ra, seqs);
+  EXPECT_EQ(seqs, (std::vector<std::uint64_t>{0, 1}));
+  EXPECT_TRUE(ra.announce_epoch(next));
+  EXPECT_FALSE(ra.announce_epoch({3 + kBudget, 1}));
 }
 
 struct RtSweep {
@@ -211,6 +254,7 @@ TEST_P(RtEngineSweep, InOrderAndLossless) {
   cfg.workers = p.workers;
   cfg.batch_size = p.batch;
   cfg.cost_ns_per_packet = 50;  // keep the test fast
+  cfg.max_push_spins = 0;       // lossless: a descheduled thread never sheds
   Engine engine(cfg);
   std::uint64_t observed = 0;
   const auto res = engine.run(p.packets, [&](const RtPacket& pkt) {
@@ -234,14 +278,15 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(RtReassembler, DepositRetryBudgetBoundsTheSpin) {
   RtReassembler ra(1, 4);
-  for (std::uint64_t i = 0; i < 4; ++i)
-    ASSERT_TRUE(ra.deposit(0, RtPacket{i, 1, 0, false}));
+  RtPacket pkts[] = {pkt(0, 1), pkt(1, 1), pkt(2, 1),
+                     pkt(3, 1), pkt(4, 1)};
   // Ring full and the consumer never runs: a bounded deposit must give up
-  // instead of yielding forever.
-  EXPECT_FALSE(ra.deposit(0, RtPacket{4, 1, 0, false}, /*max_spins=*/8));
+  // instead of yielding forever, accepting only the prefix that fit.
+  EXPECT_EQ(ra.deposit_batch(0, pkts, 5, /*max_spins=*/8), 4u);
   // Consuming one slot makes the same deposit succeed.
-  ASSERT_TRUE(ra.pop_ready().has_value());
-  EXPECT_TRUE(ra.deposit(0, RtPacket{4, 1, 0, false}, /*max_spins=*/8));
+  RtPacket out;
+  ASSERT_EQ(ra.pop_ready_batch(&out, 1), 1u);
+  EXPECT_EQ(ra.deposit_batch(0, pkts + 4, 1, /*max_spins=*/8), 1u);
 }
 
 TEST(RtEngine, InjectedDropsRecoverWithoutWedging) {
@@ -349,12 +394,12 @@ TEST(RtEngine, RescaleUnderFaultsConservesSurvivors) {
   EXPECT_EQ(res.rescales_applied, 3u);
 }
 
-// Flow-state churn tracking: the shared control::FlowTable driven on the
+// Flow-state churn tracking: the control::FlowTable driven on the
 // batch-index clock. Peak occupancy must follow the live window (ttl /
-// flow lifetime), not cumulative flows, and — because worker touches
-// replay a flow's own batch number, which monotone touch turns into
-// no-ops against the generator's stamps — the telemetry must be
-// bit-identical across runs despite real threads.
+// flow lifetime), not cumulative flows, and — because only the generator
+// stamps and sweeps the table, on its deterministic batch schedule — the
+// telemetry must be exact and bit-identical across runs despite real
+// threads.
 TEST(RtEngine, FlowTableChurnBoundedAndDeterministic) {
   EngineConfig cfg;
   cfg.workers = 3;
@@ -370,9 +415,11 @@ TEST(RtEngine, FlowTableChurnBoundedAndDeterministic) {
   const auto a = Engine(cfg).run(kTotal);
   EXPECT_TRUE(a.in_order);
   EXPECT_EQ(a.packets, kTotal);
-  EXPECT_GT(a.flow_table.expired, 1000u);
-  EXPECT_LE(a.flow_table.peak, 64u);  // live window ~ ttl/lifetime + 1 = 17
-  EXPECT_LE(a.flow_table.live, a.flow_table.peak);
+  // Live window ~ ttl/lifetime + 1 = 17 flows, plus up to a sweep
+  // interval's worth (16 batches / 4 per flow) waiting for the next sweep.
+  EXPECT_EQ(a.flow_table.peak, 21u);
+  EXPECT_EQ(a.flow_table.expired, 1232u);
+  EXPECT_EQ(a.flow_table.live, 19u);
   const auto b = Engine(cfg).run(kTotal);
   EXPECT_EQ(b.flow_table.peak, a.flow_table.peak);
   EXPECT_EQ(b.flow_table.expired, a.flow_table.expired);
@@ -465,6 +512,66 @@ TEST(RtEngine, OverlayTemplateFramesMatchPerPacketBuild) {
       EXPECT_EQ(res.nf_nat_rewrites, kTotal);
     }
   }
+}
+
+// Live capacity requests far past the merger's pending-epoch budget (64):
+// the consumer flips the request between 2 and 1 workers each time the
+// generator has applied the previous one, so an epoch opens at nearly
+// every batch boundary. Two-packet batches and deep rings let the
+// generator run well over a thousand batches ahead of the merge counter,
+// so it keeps meeting a full budget. A refused epoch must leave the old
+// mapping in force; remapping anyway hangs the run, which ctest's TIMEOUT
+// on this binary turns into a failure.
+TEST(RtEngine, LiveCapacityPastEpochBudgetStaysOrdered) {
+  EngineConfig cfg;
+  cfg.workers = 2;
+  cfg.batch_size = 2;
+  cfg.ring_capacity = 2048;
+  cfg.cost_ns_per_packet = 0;
+  cfg.max_push_spins = 0;  // lossless: conservation is exact
+  Engine engine(cfg);
+  EngineCapacityAdapter adapter(engine);
+  constexpr std::uint64_t kTotal = 200000;
+  std::uint64_t observed = 0;
+  std::uint32_t want = 2;  // the run starts with both workers active
+  const auto res = engine.run(kTotal, [&](const RtPacket& pkt) {
+    EXPECT_EQ(pkt.seq, observed);
+    ++observed;
+    if (adapter.active_workers() == want) {
+      want = 3 - want;
+      adapter.set_active_workers(want);
+    }
+  });
+  EXPECT_TRUE(res.in_order);
+  EXPECT_EQ(res.packets, kTotal);
+  EXPECT_EQ(res.packets_dropped, 0u);
+  EXPECT_GT(res.rescales_applied, 64u);
+}
+
+// A rescale schedule longer than the pending-epoch budget, all due at the
+// first boundary: the generator applies 64, is refused on the next, and
+// must keep the old mapping and resume the schedule at a later boundary
+// once the merge counter has put the first epochs in force.
+TEST(RtEngine, RescaleScheduleLongerThanEpochBudgetAppliesInOrder) {
+  EngineConfig cfg;
+  cfg.workers = 2;
+  cfg.batch_size = 2;
+  cfg.cost_ns_per_packet = 0;
+  cfg.max_push_spins = 0;  // lossless: conservation is exact
+  constexpr std::uint32_t kChanges = 100;
+  for (std::uint32_t k = 0; k < kChanges; ++k)
+    cfg.rescales.push_back({0, k % 2 == 0 ? 1u : 2u});
+  Engine engine(cfg);
+  constexpr std::uint64_t kTotal = 20000;
+  std::uint64_t observed = 0;
+  const auto res = engine.run(kTotal, [&](const RtPacket& pkt) {
+    EXPECT_EQ(pkt.seq, observed);
+    ++observed;
+  });
+  EXPECT_TRUE(res.in_order);
+  EXPECT_EQ(res.packets, kTotal);
+  EXPECT_EQ(res.packets_dropped, 0u);
+  EXPECT_EQ(res.rescales_applied, kChanges);
 }
 
 // End-of-stream race: the consumer decides a dry merge head can be skipped
