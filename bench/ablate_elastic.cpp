@@ -206,7 +206,6 @@ double rt_live_capacity_pps(std::uint64_t packets) {
       4, std::max(1u, std::thread::hardware_concurrency() / 2));
   cfg.batch_size = 256;
   cfg.cost_ns_per_packet = 300;
-  cfg.max_push_spins = 0;  // lossless: a descheduled thread never sheds
   rt::Engine eng(cfg);
   rt::EngineCapacityAdapter adapter(eng);
 

@@ -232,7 +232,6 @@ int main(int argc, char** argv) {
     rc.workers = 2;
     rc.batch_size = 64;
     rc.cost_ns_per_packet = 0;
-    rc.max_push_spins = 0;  // lossless => per-worker sequences deterministic
     rc.overlay.enabled = true;
     rc.overlay.flows = 8;
     constexpr std::uint64_t kTotal = 20000;

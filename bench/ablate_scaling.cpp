@@ -51,7 +51,6 @@ EngineConfig base_cfg(std::size_t workers, std::uint32_t cost_ns, bool pin) {
   cfg.workers = workers;
   cfg.batch_size = 256;
   cfg.cost_ns_per_packet = cost_ns;
-  cfg.max_push_spins = 0;  // lossless: a descheduled thread never sheds
   cfg.topology.pin_threads = pin;
   return cfg;
 }

@@ -105,7 +105,6 @@ double engine_pps(std::size_t workers, std::uint32_t cost_ns,
   cfg.workers = workers;
   cfg.batch_size = 256;
   cfg.cost_ns_per_packet = cost_ns;
-  cfg.max_push_spins = 0;  // lossless: a descheduled thread never sheds
   Engine engine(cfg);
   const auto res = engine.run(total);
   if (!res.in_order || res.packets_dropped != 0) {

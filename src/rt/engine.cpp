@@ -1,866 +1,123 @@
 #include "rt/engine.hpp"
 
-#include <algorithm>
-#include <array>
 #include <atomic>
-#include <bit>
-#include <cassert>
 #include <chrono>
-#include <cstring>
-#include <map>
-#include <memory>
+#include <thread>
 
-#include "control/flowtable.hpp"
-#include "rt/calibrate.hpp"
+#include "rt/stages.hpp"
 #include "rt/topology.hpp"
-#include "trace/trace.hpp"
-#include "util/rng.hpp"
 
 namespace mflow::rt {
 
 namespace {
 
-/// Packets staged per ring operation. Amortizes one acquire-load plus one
-/// release-store across the whole chunk; small enough that a chunk never
-/// approaches the default ring depth.
-constexpr std::size_t kChunk = 128;
+using Clock = std::chrono::steady_clock;
 
-/// Thread-local trace buffer for the rt engine. Each thread appends to its
-/// own vector while running and hands the whole batch to the tracer with
-/// absorb() before the engine joins it — no shared mutable state while the
-/// workers are live, which keeps the tsan preset quiet.
-class ThreadTrace {
- public:
-  ThreadTrace(trace::Tracer* tr,
-              std::chrono::steady_clock::time_point t0, int core)
-      : tr_(tr), t0_(t0), core_(static_cast<std::int16_t>(core)) {}
+std::uint64_t ns_since(Clock::time_point t) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t)
+          .count());
+}
 
-  ~ThreadTrace() { flush(); }
-
-  void event(trace::EventKind kind, std::uint64_t seq,
-             std::uint64_t microflow, std::uint64_t aux = 0,
-             sim::Time dur = 0) {
-    if (tr_ == nullptr || !tr_->sampled(seq)) return;
-    trace::TraceEvent ev;
-    ev.ts = static_cast<sim::Time>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0_)
-            .count());
-    ev.dur = dur;
-    ev.seq = seq;
-    ev.microflow = microflow;
-    ev.aux = aux;
-    ev.kind = kind;
-    ev.core = core_;
-    buf_.push_back(ev);
+/// The runner loop every pipeline thread runs over its stage, and the only
+/// place the rt engine waits. A blocked step yields and is retried; a
+/// blocked output or pool gives up after `max_spins` retries without
+/// progress (0: never) and sheds what it could not move. Input is waited
+/// for without limit. With profiling on, a stall episode runs from the
+/// first blocked step to the next step with another outcome and is charged
+/// by its outcome; the clock is read only at those two points.
+template <class Stage>
+void run_stage(Stage& stage, std::uint32_t max_spins) {
+  StageCounters* const prof = stage.profile();
+  const Clock::time_point start = Clock::now();
+  Clock::time_point since;         // start of the open stall episode
+  Step stalled = Step::kProgress;  // its outcome; kProgress when none
+  std::uint32_t spins = 0;
+  const auto settle = [&] {
+    if (prof != nullptr && stalled != Step::kProgress) {
+      const std::uint64_t ns = ns_since(since);
+      if (stalled == Step::kInputDry) {
+        ++prof->input_dry_episodes;
+        prof->input_dry_ns += ns;
+      } else if (stalled == Step::kOutputFull) {
+        ++prof->output_full_episodes;
+        prof->output_full_ns += ns;
+      } else {
+        ++prof->pool_dry_episodes;
+        prof->pool_dry_ns += ns;
+      }
+    }
+    stalled = Step::kProgress;
+    spins = 0;
+  };
+  for (;;) {
+    stage.observe();
+    const Step s = stage.step();
+    if (s == Step::kDone) break;
+    if (s == Step::kProgress) {
+      if (stalled != Step::kProgress) settle();
+      continue;
+    }
+    if (s != stalled) {
+      settle();
+      stalled = s;
+      if (prof != nullptr) since = Clock::now();
+    }
+    if (s != Step::kInputDry && max_spins != 0 && ++spins >= max_spins) {
+      stage.shed();
+      settle();
+      continue;
+    }
+    std::this_thread::yield();
   }
-
-  void flush() {
-    if (tr_ != nullptr && !buf_.empty()) tr_->absorb(std::move(buf_));
-    buf_.clear();
-  }
-
- private:
-  trace::Tracer* tr_;
-  std::chrono::steady_clock::time_point t0_;
-  std::int16_t core_;
-  std::vector<trace::TraceEvent> buf_;
-};
-
-/// One per-worker direct-mapped overlay cache slot: the resolved decap
-/// decision for a flow, plus the outer-header template bytes a hit is
-/// validated against (the outer UDP source port is the only outer field
-/// that varies per flow — RFC 7348 entropy — so matching it proves the
-/// cached template still describes this packet's outer stack).
-struct CacheSlot {
-  std::uint64_t flow_id = 0;
-  std::uint32_t epoch = 0;  // rescale epoch the entry was installed under
-  std::uint8_t sport_hi = 0;
-  std::uint8_t sport_lo = 0;
-  bool valid = false;
-};
-
-/// Offset of the outer UDP source port in an encapsulated packet:
-/// Eth(14) + IPv4(20).
-constexpr std::size_t kOuterSportOff =
-    net::EthernetHeader::kSize + net::Ipv4Header::kSize;
-
-/// Overlay frame the generator builds: inner Eth/IPv4/UDP plus the VXLAN
-/// outer stack (92 bytes).
-constexpr std::size_t kOverlayFrameBytes =
-    net::kVxlanOverhead + net::EthernetHeader::kSize +
-    net::Ipv4Header::kSize + net::UdpHeader::kSize;
-
-/// Generator-side header template (overlay mode): the bytes and flow key of
-/// the current micro-flow batch's first packet, as make_udp_datagram +
-/// vxlan_encap built them. Every packet of a batch carries the same inner
-/// flow and outer stack, so the rest of the batch copies these bytes
-/// instead of rebuilding them (two IPv4 checksums and a flow hash each) —
-/// ONCache-style per-flow header reuse. stamp() reproduces the buffer
-/// geometry and metadata exactly, so a stamped slab equals a built one.
-struct HeaderTemplate {
-  std::array<std::uint8_t, kOverlayFrameBytes> bytes{};
-  std::size_t headroom = 0;
-  net::FlowKey flow;
-  std::uint32_t payload_len = 0;
-
-  void capture(const net::Packet& pkt) {
-    const auto src = pkt.buf.data();
-    assert(src.size() == bytes.size() && pkt.encapsulated);
-    std::memcpy(bytes.data(), src.data(), bytes.size());
-    headroom = pkt.buf.headroom();
-    flow = pkt.flow;
-    payload_len = pkt.payload_len;
-  }
-
-  void stamp(net::Packet& pkt) const {
-    pkt.reset();
-    pkt.buf.reset(headroom);
-    std::memcpy(pkt.buf.append(bytes.size()).data(), bytes.data(),
-                bytes.size());
-    pkt.flow = flow;
-    pkt.payload_len = payload_len;
-    pkt.encapsulated = true;
-  }
-};
+  settle();
+  if (prof != nullptr) prof->active_ns = ns_since(start);
+}
 
 }  // namespace
 
 EngineResult Engine::run(
     std::uint64_t total,
     const std::function<void(const RtPacket&)>& on_output) {
+  Pipeline p(config_, total, capacity_, on_output);
   const std::size_t W = config_.workers;
 
-  // Pool is declared FIRST so it is destroyed LAST: every ring below holds
-  // PacketPtrs whose destructors recycle into it. Auto-sizing covers every
-  // ring slot plus per-thread chunk staging, so lossless runs never see
-  // pool exhaustion.
-  const std::size_t pool_cap =
-      config_.pool_capacity != 0
-          ? config_.pool_capacity
-          : config_.ring_capacity * (2 * W + 2) + (W + 3) * kChunk;
-  PacketPool pool({.slabs = pool_cap});
-
-  std::vector<std::unique_ptr<SpscRing<RtPacket>>> split_rings;
-  for (std::size_t i = 0; i < W; ++i)
-    split_rings.push_back(
-        std::make_unique<SpscRing<RtPacket>>(config_.ring_capacity));
-  RtReassembler merger(W, config_.ring_capacity);
-
-  // Consumer -> generator slab return path. Ring-based recycling keeps the
-  // steady state free of pool CAS traffic (the Treiber free list is only
-  // the fallback when this ring is full/empty — e.g. around drops).
-  SpscRing<net::PacketPtr> recycle_ring(std::bit_ceil(pool_cap + 1));
-
-  // Worker -> generator drop-return fan-in: one small SPSC ring per worker
-  // so slabs dropped mid-pipeline (injected faults, deposit backpressure)
-  // return without CAS-contending on the pool free list — under fan-in, N
-  // droppers hammering one Treiber head is a real contention point. The
-  // generator batch-drains these only when the main recycle ring is dry;
-  // overflow falls back to the CAS list (the PacketPtr destructor).
-  std::vector<std::unique_ptr<SpscRing<net::PacketPtr>>> drop_rings;
-  for (std::size_t i = 0; i < W; ++i)
-    drop_rings.push_back(std::make_unique<SpscRing<net::PacketPtr>>(
-        std::bit_ceil(2 * kChunk)));
-  struct RecycleCounts {
-    std::uint64_t ring_returns = 0, cas_fallbacks = 0;
-  };
-  std::vector<RecycleCounts> rec_counts(W);
-  std::uint64_t consumer_ring_returns = 0;   // consumer-thread private,
-  std::uint64_t consumer_cas_fallbacks = 0;  // read only after join
-
-  // Scalability profiler: one cache-line-aligned counter block per
-  // pipeline thread, written only by its owner while running and folded
-  // after join (rt/profiler.hpp). Null pointers when profiling is off, so
-  // the default path never touches them.
-  const bool prof_on = config_.profile;
-  std::vector<StageCounters> prof_workers(W);
-  StageCounters prof_generator, prof_consumer;
-
-  // Topology-aware core assignment: auto-plan from the discovered
-  // topology, then apply any explicit per-thread overrides. Worker and
-  // consumer threads pin themselves on startup; the generator (caller)
-  // thread is pinned here and restored before returning.
-  CorePlan plan;
-  plan.workers.assign(W, -1);
-  std::atomic<std::uint32_t> threads_pinned{0};
-  if (config_.topology.pin_threads) {
-    plan = plan_cores(CpuTopology::discover(), W);
-    if (config_.topology.generator_cpu >= 0)
-      plan.generator = config_.topology.generator_cpu;
-    if (config_.topology.consumer_cpu >= 0)
-      plan.consumer = config_.topology.consumer_cpu;
-    for (std::size_t i = 0;
-         i < config_.topology.worker_cpus.size() && i < W; ++i)
-      if (config_.topology.worker_cpus[i] >= 0)
-        plan.workers[i] = config_.topology.worker_cpus[i];
-  }
-  const bool generator_pinned =
-      plan.generator >= 0 && pin_current_thread(plan.generator);
-  if (generator_pinned) threads_pinned.fetch_add(1);
-
-  // Overlay-mode state, all sized BEFORE any thread spawns so the steady
-  // state stays allocation-free: one direct-mapped cache per worker (only
-  // its owner touches it) and one counter block per worker (written once,
-  // at worker exit; read after join).
-  const bool overlay_on = config_.overlay.enabled;
-  const std::uint64_t overlay_flows =
-      std::max<std::uint32_t>(config_.overlay.flows, 1);
-  std::vector<std::vector<CacheSlot>> caches(W);
-  if (overlay_on && config_.overlay.cache) {
-    const std::size_t slots =
-        std::bit_ceil(std::max<std::size_t>(config_.overlay.cache_slots, 1));
-    for (auto& c : caches) c.resize(slots);
-  }
-  struct OverlayCounts {
-    std::uint64_t hits = 0, misses = 0, invals = 0, fails = 0;
-  };
-  std::vector<OverlayCounts> ov_counts(W);
-
-  // Flow-state plane (churn mode): one shared FlowTable, created before
-  // thread spawn and driven by the generator alone — it registers and
-  // touches each batch's flow, then sweeps. The table tracks presence and
-  // recency only, so its value type is empty.
-  struct NoValue {};
-  std::unique_ptr<control::FlowTable<NoValue>> ftable_storage;
-  if (config_.flow_table.enabled) {
-    ftable_storage = std::make_unique<control::FlowTable<NoValue>>(
-        control::FlowTableParams{
-            config_.flow_table.shards, config_.flow_table.capacity,
-            static_cast<sim::Time>(
-                std::max<std::uint64_t>(config_.flow_table.ttl_batches, 1))});
-  }
-  control::FlowTable<NoValue>* const ftable = ftable_storage.get();
-  const std::uint64_t flow_life =
-      std::max<std::uint64_t>(config_.flow_table.flow_lifetime_batches, 1);
-  // Flow identity of micro-flow batch `b`: the one rule the generator both
-  // stamps packets and registers flows with. Overlay mode cycles a hot set
-  // of overlay.flows inner flows, the churn generator starts a fresh flow
-  // every flow_lifetime_batches, and otherwise each batch is its own flow.
-  const auto flow_of = [&](std::uint64_t b) -> net::FlowId {
-    if (overlay_on) return b % overlay_flows + 1;
-    if (ftable != nullptr) return b / flow_life + 1;
-    return b;
-  };
-
-  // NF plane: Maglev table and every state table built BEFORE thread spawn.
-  // The shared table's shard mutex is the kSharedLock lock; the private
-  // tables are strictly single-writer (only their owning worker touches
-  // them while threads run; folded after join).
-  const bool nf_on = config_.nf.enabled && !config_.nf.chain.chain.empty();
-  const bool nf_shared =
-      nf_on && config_.nf.strategy == nf::Strategy::kSharedLock;
-  const bool nf_has_nat =
-      nf_on && std::find(config_.nf.chain.chain.begin(),
-                         config_.nf.chain.chain.end(),
-                         nf::Kind::kNat) != config_.nf.chain.chain.end();
-  const bool nf_has_lb =
-      nf_on && std::find(config_.nf.chain.chain.begin(),
-                         config_.nf.chain.chain.end(),
-                         nf::Kind::kLoadBalancer) !=
-                   config_.nf.chain.chain.end();
-  const nf::MaglevTable nf_maglev =
-      nf_has_lb ? nf::MaglevTable::build(config_.nf.chain.lb_backends,
-                                         config_.nf.chain.lb_table_size,
-                                         config_.nf.chain.lb_seed)
-                : nf::MaglevTable{};
-  std::unique_ptr<control::FlowTable<nf::FlowState>> nf_shared_table;
-  std::vector<std::unique_ptr<control::FlowTable<nf::FlowState>>> nf_tables;
-  if (nf_shared) {
-    nf_shared_table = std::make_unique<control::FlowTable<nf::FlowState>>(
-        control::FlowTableParams{config_.nf.shared_shards,
-                                 config_.nf.state_capacity, 0});
-  } else if (nf_on) {
-    for (std::size_t wi = 0; wi < W; ++wi)
-      nf_tables.push_back(
-          std::make_unique<control::FlowTable<nf::FlowState>>(
-              control::FlowTableParams{1, config_.nf.state_capacity, 0}));
-  }
-  struct NfCounts {
-    std::uint64_t pkts = 0, rewrites = 0, rewrite_fails = 0, locks = 0;
-  };
-  std::vector<NfCounts> nf_counts(W);
-
-  std::atomic<bool> produce_done{false};
-  std::atomic<std::size_t> workers_done{0};
-  // Packets lost to backpressure (retry budget exhausted) or injected
-  // faults. The consumer terminates on consumed + dropped == total, so
-  // every loss must be counted by whoever gave up on the packet.
-  std::atomic<std::uint64_t> dropped{0};
-
-  const auto t0 = std::chrono::steady_clock::now();
-  // Captured once before any thread spawns; the spawn happens-before makes
-  // the pointer safely visible to every worker without atomics.
-  trace::Tracer* tr = trace::active();
-
-  // Worker threads: pop a chunk from their splitting ring, "process" each
-  // packet (calibrated spin), deposit the surviving chunk into their
-  // buffer ring.
-  std::vector<std::jthread> workers;
-  workers.reserve(W);
-  for (std::size_t w = 0; w < W; ++w) {
-    workers.emplace_back([&, w] {
-      if (plan.workers[w] >= 0 && pin_current_thread(plan.workers[w]))
-        threads_pinned.fetch_add(1, std::memory_order_relaxed);
-      auto& in = *split_rings[w];
-      auto& drop_ring = *drop_rings[w];
-      RecycleCounts& rc = rec_counts[w];
-      // Drop-site slab return: per-worker SPSC ring first, CAS list only
-      // on overflow (try_push moves only on success, so the fallback
-      // reset() still owns the slab).
-      const auto return_slab = [&](net::PacketPtr&& skb) {
-        if (!skb) return;
-        if (drop_ring.try_push(std::move(skb))) {
-          ++rc.ring_returns;
-        } else {
-          skb.reset();
-          ++rc.cas_fallbacks;
-        }
-      };
-      StageCounters* const pc = prof_on ? &prof_workers[w] : nullptr;
-      StallClock input_dry;
-      std::uint64_t chunks_seen = 0;
-      const auto w_start = std::chrono::steady_clock::now();
-      util::Rng faults(config_.fault_seed + 0x9e37 * (w + 1));
-      ThreadTrace wt(tr, t0, static_cast<int>(w));
-      std::vector<RtPacket> chunk(kChunk);
-      bool saw_last = false;
-      auto& cache = caches[w];
-      const std::size_t slot_mask = cache.empty() ? 0 : cache.size() - 1;
-      OverlayCounts ov;
-      // NF chain over SURVIVORS only, so the merged state counts exactly
-      // the delivered stream (drops upstream of the fold never enter it).
-      // Each run of one flow within one micro-flow batch folds into a
-      // local delta and merges into the table once: kSharedLock takes the
-      // shard mutex once per run, the replicas pay one upsert per run.
-      // The recency clock is the batch index, as for the churn flow table;
-      // ttl is 0 so it only orders evictions, and upsert never refreshes
-      // recency, so one upsert per run stamps entries exactly as one per
-      // packet would.
-      NfCounts& nc = nf_counts[w];
-      nf::RunFold fold(config_.nf.chain, nf_has_lb ? &nf_maglev : nullptr);
-      const auto merge_run = [&](net::FlowId fid, std::uint64_t batch,
-                                 const nf::FlowState& delta) {
-        const auto now = static_cast<sim::Time>(batch);
-        if (nf_shared) {
-          ++nc.locks;
-          nf_shared_table->upsert_apply(
-              fid, now, [&delta](nf::FlowState& st) { nf::merge(st, delta); });
-        } else {
-          nf::merge(nf_tables[w]->upsert(fid, now), delta);
-        }
-      };
-      while (true) {
-        const std::size_t n = in.try_pop_batch(chunk.data(), kChunk);
-        if (n == 0) {
-          if (saw_last ||
-              (produce_done.load(std::memory_order_acquire) && in.empty()))
-            break;
-          if (pc != nullptr) input_dry.stall();
-          std::this_thread::yield();
-          continue;
-        }
-        if (pc != nullptr) {
-          input_dry.resolve(pc->input_dry_episodes, pc->input_dry_ns);
-          pc->items += n;
-          // Sampled queue pressure on this worker's input ring (consumer-
-          // side size() is exact for already-published items).
-          if ((++chunks_seen & 31) == 0) {
-            pc->occupancy_sum += in.size();
-            ++pc->occupancy_samples;
-          }
-        }
-        // Process in place; compact survivors to the front of the chunk so
-        // one deposit_batch publishes them all.
-        std::size_t m = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-          RtPacket& pkt = chunk[i];
-          saw_last = saw_last || pkt.last;
-          wt.event(trace::EventKind::kRingDequeue, pkt.seq, pkt.batch);
-          if (overlay_on && !pkt.marker && pkt.skb) {
-            net::Packet& skb = *pkt.skb;
-            bool spliced = false;
-            if (!cache.empty()) {
-              CacheSlot& slot = cache[skb.flow_id & slot_mask];
-              if (slot.valid && slot.flow_id == skb.flow_id) {
-                if (slot.epoch != pkt.epoch) {
-                  // Rescale epoch advanced past the entry: the decision is
-                  // stale by protocol, even though the bytes still match.
-                  slot.valid = false;
-                  ++ov.invals;
-                } else {
-                  const auto bytes = skb.buf.data();
-                  if (bytes.size() >= net::kVxlanOverhead &&
-                      bytes[kOuterSportOff] == slot.sport_hi &&
-                      bytes[kOuterSportOff + 1] == slot.sport_lo &&
-                      net::vxlan_splice_decap(skb, config_.overlay.vni)) {
-                    ++ov.hits;
-                    spliced = true;
-                  }
-                }
-              }
-            }
-            if (!spliced) {
-              // Slow path: full validating decap, then (re)install the
-              // entry with this packet's outer template + epoch.
-              const auto bytes = skb.buf.data();
-              std::uint8_t hi = 0, lo = 0;
-              if (bytes.size() > kOuterSportOff + 1) {
-                hi = bytes[kOuterSportOff];
-                lo = bytes[kOuterSportOff + 1];
-              }
-              const net::DecapResult res = net::vxlan_decap(skb);
-              if (!res.ok || res.vni != config_.overlay.vni) {
-                ++ov.fails;
-              } else if (!cache.empty()) {
-                ++ov.misses;
-                cache[skb.flow_id & slot_mask] =
-                    CacheSlot{skb.flow_id, pkt.epoch, hi, lo, true};
-              }
-            }
-          }
-          if (pkt.cost_ns > 0) spin_ns(pkt.cost_ns);
-          wt.event(trace::EventKind::kStageExit, pkt.seq, pkt.batch,
-                   /*aux=*/0xFF, static_cast<sim::Time>(pkt.cost_ns));
-          const bool lost = !pkt.marker && config_.fault_drop_rate > 0.0 &&
-                            faults.chance(config_.fault_drop_rate);
-          if (lost) {
-            dropped.fetch_add(1, std::memory_order_release);
-            wt.event(trace::EventKind::kDrop, pkt.seq, pkt.batch);
-            return_slab(std::move(pkt.skb));  // recycle the slab now
-          } else {
-            if (nf_on && !pkt.marker && pkt.skb) {
-              net::Packet& skb = *pkt.skb;
-              ++nc.pkts;
-              const std::uint16_t ext_port =
-                  fold.add(skb.flow_id, pkt.batch, nf::view_of(skb),
-                           merge_run)
-                      .nat.ext_port;
-              if (nf_has_nat && overlay_on && !skb.encapsulated &&
-                  ext_port != 0) {
-                if (nf::nat_rewrite(config_.nf.chain, skb, ext_port))
-                  ++nc.rewrites;
-                else
-                  ++nc.rewrite_fails;
-              }
-              wt.event(trace::EventKind::kNfApply, pkt.seq, pkt.batch);
-            }
-            if (m != i)
-              chunk[m++] = std::move(pkt);
-            else
-              ++m;
-          }
-        }
-        fold.flush(merge_run);  // runs never outlive their chunk
-        const std::size_t ok = merger.deposit_batch(
-            w, chunk.data(), m, config_.max_push_spins, pc);
-        // Scalar metadata survives the move into the ring, so tracing off
-        // the staged entries after deposit_batch is safe.
-        for (std::size_t i = 0; i < ok; ++i)
-          wt.event(trace::EventKind::kReasmHold, chunk[i].seq,
-                   chunk[i].batch);
-        for (std::size_t i = ok; i < m; ++i) {
-          dropped.fetch_add(1, std::memory_order_release);
-          wt.event(trace::EventKind::kDrop, chunk[i].seq, chunk[i].batch);
-          return_slab(std::move(chunk[i].skb));
-        }
-      }
-      wt.flush();
-      ov_counts[w] = ov;  // single write, read only after join
-      if (pc != nullptr) {
-        input_dry.resolve(pc->input_dry_episodes, pc->input_dry_ns);
-        pc->recycle_cas_fallbacks = rc.cas_fallbacks;
-        pc->active_ns = static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - w_start)
-                .count());
-      }
-      workers_done.fetch_add(1, std::memory_order_release);
-    });
-  }
-
-  // Consumer thread: batch-based merge + order verification. Gap-tolerant:
-  // a drop leaves a hole in the seq space, so "in order" means survivor
-  // seqs strictly increase (equivalent to exact 0..N-1 when nothing drops).
-  std::uint64_t consumed = 0;
-  std::uint64_t next_seq_floor = 0;
-  bool in_order = true;
-  std::jthread consumer([&] {
-    if (plan.consumer >= 0 && pin_current_thread(plan.consumer))
-      threads_pinned.fetch_add(1, std::memory_order_relaxed);
-    StageCounters* const cc = prof_on ? &prof_consumer : nullptr;
-    StallClock merge_dry;
-    std::uint64_t pops_seen = 0;
-    const auto c_start = std::chrono::steady_clock::now();
-    ThreadTrace ct(tr, t0, static_cast<int>(W));  // track one past workers
-    std::vector<RtPacket> out(kChunk);
-    std::vector<net::PacketPtr> spent(kChunk);
-    while (consumed + dropped.load(std::memory_order_acquire) < total) {
-      // Sample the worker count BEFORE the pop. If every worker had exited
-      // by then, all deposits happen-before the pop, so a dry pop proves
-      // the merge head empty for good. Sampled after the pop, a final
-      // deposit landing in between would be skipped by force_advance()
-      // and then discarded as a spent marker — a hang.
-      const bool all_done =
-          workers_done.load(std::memory_order_acquire) == W;
-      const std::size_t n = merger.pop_ready_batch(out.data(), kChunk);
-      if (n == 0) {
-        if (all_done) {
-          // All producers drained: a dry micro-flow boundary — whether
-          // never filled or emptied by drops — can be skipped.
-          merger.force_advance();
-        } else {
-          if (cc != nullptr) merge_dry.stall();
-          std::this_thread::yield();
-        }
-        continue;
-      }
-      if (cc != nullptr) {
-        merge_dry.resolve(cc->input_dry_episodes, cc->input_dry_ns);
-        cc->items += n;
-        // Sampled fan-in backlog (sum of all buffer-ring sizes) — the
-        // merge-side queue-pressure signal.
-        if ((++pops_seen & 31) == 0) {
-          cc->occupancy_sum += merger.occupancy();
-          ++cc->occupancy_samples;
-        }
-      }
-      std::size_t s = 0;
-      for (std::size_t k = 0; k < n; ++k) {
-        RtPacket& pkt = out[k];
-        if (pkt.seq < next_seq_floor) in_order = false;
-        next_seq_floor = pkt.seq + 1;
-        ++consumed;
-        ct.event(trace::EventKind::kReasmRelease, pkt.seq, pkt.batch);
-        if (on_output) on_output(pkt);
-        if (pkt.skb) spent[s++] = std::move(pkt.skb);
-      }
-      // Copy-to-user done: hand the slabs back to the generator through the
-      // recycle ring in one batched push. Overflow is fine — the handle's
-      // destructor recycles through the pool free list instead.
-      const std::size_t pushed = recycle_ring.try_push_batch(spent.data(), s);
-      consumer_ring_returns += pushed;
-      for (std::size_t k = pushed; k < s; ++k) {
-        spent[k].reset();
-        ++consumer_cas_fallbacks;
-      }
-    }
-    if (cc != nullptr) {
-      merge_dry.resolve(cc->input_dry_episodes, cc->input_dry_ns);
-      cc->recycle_cas_fallbacks = consumer_cas_fallbacks;
-      cc->active_ns = static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - c_start)
-              .count());
-    }
-  });
-
-  // Generator (this thread): round-robin micro-flow batches, as the
-  // splitting mechanisms do. Packets are staged in chunks (never crossing
-  // a micro-flow boundary, so a chunk targets exactly one worker) and
-  // pushed with one batched ring operation.
-  //
-  // Runtime rescale: the active worker set is a prefix [0, W_active) of the
-  // workers, re-evaluated only at micro-flow boundaries. Each change opens
-  // a new epoch starting at the batch being opened and announces it to the
-  // merger BEFORE any packet of that batch is pushed — the push's
-  // release/acquire chain then guarantees the consumer sees the epoch no
-  // later than the epoch's first packet.
-  std::uint64_t batch = 0;
-  std::uint32_t in_batch = config_.batch_size;
-  std::size_t target = 0;
-  std::size_t w_active = W;
-  std::uint64_t epoch_first = 1;
-  std::size_t rescale_idx = 0;
-  std::uint64_t rescales_applied = 0;
-  capacity_.active.store(static_cast<std::uint32_t>(W),
-                         std::memory_order_release);
-  // Shared epoch-change protocol for the deterministic schedule AND live
-  // capacity requests: open a new epoch at the batch being opened,
-  // announce it to the merger before any packet of that batch is pushed,
-  // then close every previously-active ring with an epoch-flush marker so
-  // the consumer can prove its final old-epoch batch is complete — after
-  // a shrink no later batch would ever arrive there to provide the FIFO
-  // evidence. Returns false when the merger refuses the epoch (its
-  // pending-epoch budget is full): the old mapping then stays in force and
-  // the caller retries at a later boundary, so generator and merger always
-  // agree on which ring owns a batch.
-  auto apply_active = [&](std::size_t requested_workers) {
-    const std::size_t nw = std::min<std::size_t>(
-        std::max<std::size_t>(requested_workers, 1), W);
-    if (nw == w_active) return true;  // no mapping change, no epoch needed
-    if (!merger.announce_epoch({batch, static_cast<std::uint32_t>(nw)}))
-      return false;
-    ++rescales_applied;
-    for (std::size_t w2 = 0; w2 < w_active; ++w2) {
-      RtPacket mark;
-      mark.batch = batch;
-      mark.marker = true;
-      auto& ring2 = *split_rings[w2];
-      std::uint32_t spins2 = 0;
-      while (!ring2.try_push(std::move(mark))) {
-        if (config_.max_push_spins != 0 && ++spins2 >= config_.max_push_spins)
-          break;  // shed: end-of-stream force_advance covers the tail
-        std::this_thread::yield();
-      }
-    }
-    w_active = nw;
-    epoch_first = batch;
-    capacity_.active.store(static_cast<std::uint32_t>(w_active),
-                           std::memory_order_release);
+  // Topology-aware core assignment. Worker and merger threads pin
+  // themselves on startup; the generator (caller) thread is pinned here and
+  // restored before returning.
+  const CorePlan plan = config_.topology.pin_threads
+                            ? plan_cores(CpuTopology::discover(), W)
+                            : CorePlan{-1, -1, std::vector<int>(W, -1)};
+  std::atomic<std::uint32_t> pinned{0};
+  const auto pin = [&pinned](int cpu) {
+    if (cpu < 0 || !pin_current_thread(cpu)) return false;
+    pinned.fetch_add(1, std::memory_order_relaxed);
     return true;
   };
-  ThreadTrace gt(tr, t0, static_cast<int>(W) + 1);  // generator track
-  std::vector<RtPacket> stage(kChunk);
-  std::vector<net::PacketPtr> stash(kChunk);  // slabs popped off recycle ring
-  std::size_t stash_n = 0, stash_i = 0;
-  StageCounters* const gc = prof_on ? &prof_generator : nullptr;
-  StallClock pool_dry, out_full;
-  std::uint64_t gen_chunks = 0;
-  std::uint64_t gen_cas_acquires = 0;  // slabs drawn off the pool CAS list
-  net::FlowId flow = 0;  // flow_of(batch)
-  HeaderTemplate tmpl;
-  std::uint64_t tmpl_batch = 0;  // batch tmpl was captured in (batches are
-                                 // numbered from 1, so 0 means none yet)
-  std::uint64_t i = 0;
-  while (i < total) {
-    if (in_batch >= config_.batch_size) {
-      ++batch;
-      in_batch = 0;
-      while (rescale_idx < config_.rescales.size() &&
-             i >= config_.rescales[rescale_idx].after_packets &&
-             apply_active(config_.rescales[rescale_idx].active_workers))
-        ++rescale_idx;
-      // Live capacity request (rt::EngineCapacityAdapter). The schedule is
-      // replayed first so a test that uses both has a defined order; the
-      // request wins ties since it is the operator's latest word.
-      if (const std::uint32_t req =
-              capacity_.requested.load(std::memory_order_acquire);
-          req != 0)
-        apply_active(req);
-      target = static_cast<std::size_t>((batch - epoch_first) % w_active);
-      flow = flow_of(batch);
-      if (ftable != nullptr) {
-        // Register (or refresh) the batch's flow before any of its packets
-        // are pushed. The clock is the batch index, so recency and expiry
-        // follow the generator's deterministic schedule alone.
-        ftable->upsert(flow, static_cast<sim::Time>(batch));
-        ftable->touch(flow, static_cast<sim::Time>(batch));
-        if (batch % std::max<std::uint64_t>(
-                        config_.flow_table.sweep_every, 1) ==
-            0)
-          ftable->expire_idle(static_cast<sim::Time>(batch));
-      }
-    }
-    const std::uint64_t room_in_batch = config_.batch_size - in_batch;
-    const std::uint64_t want =
-        std::min<std::uint64_t>({kChunk, room_in_batch, total - i});
+  const bool generator_pinned = pin(plan.generator);
 
-    // Stage `want` packets, acquiring one slab each: recycle ring first
-    // (batched pop into the stash), pool free list second, bounded
-    // spin-wait third. A packet that never gets a slab is shed here.
-    std::size_t staged = 0;
-    for (std::uint64_t k = 0; k < want; ++k, ++i, ++in_batch) {
-      net::PacketPtr skb;
-      std::uint32_t spins = 0;
-      for (;;) {
-        if (stash_i == stash_n) {
-          stash_n = recycle_ring.try_pop_batch(stash.data(), kChunk);
-          stash_i = 0;
-          // Top up from the per-worker drop-return rings on EVERY refill
-          // (not just when the main ring is dry): the drop rings are small,
-          // so sweeping them each refill keeps them from overflowing to
-          // the pool's CAS list. One consumer (this thread) over N SPSC
-          // rings — same fan-in shape as the merge side; an empty ring
-          // costs one cached-index check.
-          for (std::size_t w2 = 0; stash_n < kChunk && w2 < W; ++w2)
-            stash_n += drop_rings[w2]->try_pop_batch(stash.data() + stash_n,
-                                                     kChunk - stash_n);
-        }
-        if (stash_i < stash_n) {
-          skb = std::move(stash[stash_i++]);
-          break;
-        }
-        if ((skb = pool.acquire())) {
-          ++gen_cas_acquires;
-          break;
-        }
-        if (gc != nullptr) pool_dry.stall();
-        if (config_.max_push_spins != 0 &&
-            ++spins >= config_.max_push_spins)
-          break;
-        std::this_thread::yield();
-      }
-      if (gc != nullptr)
-        pool_dry.resolve(gc->pool_dry_episodes, gc->pool_dry_ns);
-      gt.event(trace::EventKind::kSplitDeposit, i, batch,
-               static_cast<std::uint64_t>(target));
-      if (!skb) {
-        // Pool stayed dry past the retry budget: shed the packet here
-        // rather than wedging the generator.
-        dropped.fetch_add(1, std::memory_order_release);
-        gt.event(trace::EventKind::kDrop, i, batch);
-        continue;
-      }
-      if (overlay_on) {
-        // REAL encapsulated bytes in the slab: inner Eth/IPv4/UDP (42
-        // bytes) plus the 50-byte VXLAN outer stack, all within the slab's
-        // reserved capacity — allocation-free. Each micro-flow batch
-        // belongs to one inner flow, so flow identity (and the worker-side
-        // cache key) survives the round-robin split, and only the batch's
-        // first slab is built; the rest copy its header template.
-        if (tmpl_batch == batch) {
-          tmpl.stamp(*skb);
-        } else {
-          skb = net::make_udp_datagram(
-              std::move(skb),
-              net::FlowKey{
-                  net::Ipv4Addr(10, 0, 1, 2), net::Ipv4Addr(10, 0, 1, 3),
-                  static_cast<std::uint16_t>(40000 + ((flow - 1) & 0x3FFF)),
-                  5000,
-                  net::Ipv4Header::kProtoUdp},
-              net::kTcpMss);
-          net::vxlan_encap(*skb, net::Ipv4Addr(192, 168, 1, 2),
-                           net::Ipv4Addr(192, 168, 1, 3),
-                           config_.overlay.vni);
-          tmpl.capture(*skb);
-          tmpl_batch = batch;
-        }
-      } else {
-        skb->payload_len = net::kTcpMss;
-        if (nf_on) {
-          // Give each flow a distinct 5-tuple so the NF bindings (NAT
-          // port, LB backend) are per-flow functions, as with real bytes.
-          skb->flow = net::FlowKey{
-              net::Ipv4Addr(10, 0, 1, 2), net::Ipv4Addr(10, 0, 1, 3),
-              static_cast<std::uint16_t>(40000 + (flow & 0x3FFF)), 5000,
-              net::Ipv4Header::kProtoUdp};
-        }
-      }
-      // Stamp the skb the way the splitter stamps real packets.
-      skb->flow_id = flow;
-      skb->wire_seq = i;
-      skb->microflow_id = batch;
-      stage[staged++] = RtPacket{i, batch, config_.cost_ns_per_packet,
-                                 static_cast<std::uint32_t>(rescales_applied),
-                                 i + 1 == total, std::move(skb)};
-    }
-
-    // Push the staged chunk; a full ring is retried (with yield) within
-    // the shared budget, then the unpushed tail is shed.
-    auto& ring = *split_rings[target];
-    std::size_t done = 0;
-    std::uint32_t spins = 0;
-    while (done < staged) {
-      const std::size_t n =
-          ring.try_push_batch(stage.data() + done, staged - done);
-      done += n;
-      if (done == staged) break;
-      if (n == 0) {
-        if (gc != nullptr) out_full.stall();
-        if (config_.max_push_spins != 0 &&
-            ++spins >= config_.max_push_spins)
-          break;
-        std::this_thread::yield();
-      }
-    }
-    for (std::size_t k = done; k < staged; ++k) {
-      dropped.fetch_add(1, std::memory_order_release);
-      gt.event(trace::EventKind::kDrop, stage[k].seq, stage[k].batch);
-      stage[k].skb.reset();
-    }
-    if (gc != nullptr) {
-      out_full.resolve(gc->output_full_episodes, gc->output_full_ns);
-      gc->items += done;
-      // Sampled fan-out pressure on the split ring just written to.
-      if ((++gen_chunks & 31) == 0) {
-        gc->occupancy_sum += ring.size();
-        ++gc->occupancy_samples;
-      }
-    }
-  }
-  produce_done.store(true, std::memory_order_release);
-  gt.flush();
-  if (gc != nullptr) {
-    gc->recycle_cas_fallbacks = gen_cas_acquires;
-    gc->active_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-  }
-  // Slabs parked in the stash go back to the pool before the consumer's
-  // recycle pushes are cut off.
-  for (std::size_t k = stash_i; k < stash_n; ++k) stash[k].reset();
-
-  consumer.join();
-  workers.clear();  // join all
-  const auto t1 = std::chrono::steady_clock::now();
+  const std::uint32_t spins = config_.max_push_spins;
+  {
+    std::vector<std::jthread> threads;
+    threads.reserve(W + 1);
+    for (std::size_t w = 0; w < W; ++w)
+      threads.emplace_back([&, w] {
+        pin(plan.workers[w]);
+        run_stage(*p.workers[w], spins);
+      });
+    threads.emplace_back([&] {
+      pin(plan.consumer);
+      run_stage(p.merger, spins);
+    });
+    run_stage(p.generator, spins);
+  }  // joins every thread
+  const auto t1 = Clock::now();
   if (generator_pinned) unpin_current_thread();
 
-  EngineResult res;
-  res.packets = consumed;
-  res.packets_dropped = dropped.load(std::memory_order_acquire);
-  res.batches_merged = merger.batches_merged();
-  res.wall_seconds =
-      std::chrono::duration<double>(t1 - t0).count();
-  res.in_order = in_order && consumed + res.packets_dropped == total;
-  res.pool_acquired = pool.acquired();
-  res.pool_recycled = pool.recycled();
-  res.pool_exhausted = pool.exhausted();
-  res.rescales_applied = rescales_applied;
-  res.active_workers_final = static_cast<std::uint32_t>(w_active);
-  for (const auto& ov : ov_counts) {
-    res.cache_hits += ov.hits;
-    res.cache_misses += ov.misses;
-    res.cache_invalidations += ov.invals;
-    res.decap_failures += ov.fails;
-  }
-  if (ftable != nullptr) {
-    res.flow_table.peak = ftable->peak_size();
-    res.flow_table.expired = ftable->expirations();
-    res.flow_table.live = ftable->size();
-  }
-  if (nf_on) {
-    for (const auto& nc : nf_counts) {
-      res.nf_packets += nc.pkts;
-      res.nf_nat_rewrites += nc.rewrites;
-      res.nf_nat_rewrite_failures += nc.rewrite_fails;
-      res.nf_lock_acquires += nc.locks;
-    }
-    // Fold every table (shared, or one replica per worker) into the merged
-    // per-flow state; the fold is exact because nf::FlowState is a lattice.
-    std::map<net::FlowId, nf::FlowState> merged;
-    const auto fold = [&merged](net::FlowId fid, const nf::FlowState& st) {
-      nf::merge(merged[fid], st);
-    };
-    if (nf_shared_table) nf_shared_table->for_each(fold);
-    for (const auto& t : nf_tables) t->for_each(fold);
-    res.nf_flows = merged.size();
-    std::uint64_t h = 0;
-    res.nf_state.reserve(merged.size());
-    for (const auto& [fid, st] : merged) {
-      h = nf::fold_digest(h, fid, st);
-      res.nf_state.emplace_back(fid, st);
-    }
-    res.nf_state_digest = h;
-  }
-  // Recycle-fabric split: ring-path returns vs CAS-list fallbacks, summed
-  // over every thread that touched a slab return path.
-  for (const auto& rc : rec_counts) {
-    res.recycle_ring_returns += rc.ring_returns;
-    res.recycle_cas_fallbacks += rc.cas_fallbacks;
-  }
-  res.recycle_ring_returns += consumer_ring_returns;
-  res.recycle_cas_fallbacks += consumer_cas_fallbacks + gen_cas_acquires;
-  res.threads_pinned = threads_pinned.load(std::memory_order_acquire);
-  if (prof_on) {
-    res.profile.enabled = true;
-    res.profile.workers = W;
-    res.profile.wall_seconds = res.wall_seconds;
-    res.profile.generator = prof_generator;
-    res.profile.consumer = prof_consumer;
-    res.profile.worker = std::move(prof_workers);
-  }
+  EngineResult res = p.result();
+  res.wall_seconds = std::chrono::duration<double>(t1 - p.ctx.t0).count();
+  if (res.profile.enabled) res.profile.wall_seconds = res.wall_seconds;
+  res.threads_pinned = pinned.load(std::memory_order_acquire);
   return res;
 }
 

@@ -20,6 +20,14 @@
 //        v
 //   in-order output, verified against the generator's sequence.
 //
+// Each of the three jobs is a stage object (rt/stages.hpp: Generator,
+// Worker, Merger) whose step() handles at most one chunk and never
+// blocks. run() builds the stages, runs each on its own thread under one
+// runner loop (the only code that yields, spends max_push_spins, sheds on
+// give-up and times the profiler's stall episodes), joins them and folds
+// their counters into the EngineResult. tests/test_rt_interleave.cpp runs
+// the same stages on one thread in seeded orders to replay interleavings.
+//
 // Slab return is itself a fan-in fabric: delivered slabs go back to the
 // generator through a consumer→generator SPSC recycle ring, and slabs
 // dropped mid-pipeline (injected faults, shed on backpressure) through one
@@ -68,10 +76,11 @@ struct EngineConfig {
   /// Calibrated busy-work per packet; 0 measures pure framework overhead.
   std::uint32_t cost_ns_per_packet = 300;
   /// Backpressure bound: a full SPSC ring (or an exhausted pool) is
-  /// retried (with yield) at most this many times before the packet is
-  /// dropped and recovered — the pipeline degrades instead of spinning
-  /// behind a stalled consumer. 0 retries forever (lossless).
-  std::uint32_t max_push_spins = 1u << 16;
+  /// retried (with yield) at most this many times without progress before
+  /// what could not move is shed and counted as dropped — the pipeline
+  /// degrades instead of spinning behind a stalled consumer. 0, the
+  /// default, retries forever (lossless).
+  std::uint32_t max_push_spins = 0;
   /// Injected loss probability at the worker->merger deposit, to exercise
   /// the drop-and-recover path under real concurrency.
   double fault_drop_rate = 0.0;
@@ -174,14 +183,10 @@ struct EngineConfig {
   /// workers to distinct physical cores first (SMT siblings only when
   /// cores run out) with generator+consumer co-located on the remaining
   /// cores of the same NUMA node — or leaves everything unpinned when the
-  /// host cannot give each pipeline thread its own logical CPU. Explicit
-  /// fields override the plan per thread (-1 / missing = use the plan).
-  /// The generator (caller) thread's affinity is restored after run().
+  /// host cannot give each pipeline thread its own logical CPU. The
+  /// generator (caller) thread's affinity is restored after run().
   struct TopologyConfig {
     bool pin_threads = false;
-    int generator_cpu = -1;
-    int consumer_cpu = -1;
-    std::vector<int> worker_cpus;
   };
   TopologyConfig topology;
 };
@@ -248,7 +253,7 @@ struct EngineResult {
   /// only if a rescale schedule entry or a live capacity request applied).
   std::uint32_t active_workers_final = 0;
   /// Per-stage stall/occupancy profile (enabled == EngineConfig::profile;
-  /// feed to rt::attribute_scaling / rt::export_profile).
+  /// feed to rt::attribute_scaling / rt::format_profile).
   ProfileReport profile;
   double packets_per_second() const {
     return wall_seconds > 0 ? static_cast<double>(packets) / wall_seconds

@@ -5,8 +5,6 @@
 #include <cstdio>
 #include <sstream>
 
-#include "trace/registry.hpp"
-
 namespace mflow::rt {
 
 namespace {
@@ -96,29 +94,6 @@ ScalingAttribution attribute_scaling(const ProfileReport& report,
   attr.coverage =
       attr.lost_pps > 0.0 ? attr.attributed_pps / attr.lost_pps : 1.0;
   return attr;
-}
-
-void export_profile(const ProfileReport& report, trace::Registry& registry) {
-  if (!report.enabled) return;
-  const auto stage = [&](const std::string& name, const StageCounters& c) {
-    const std::string p = "rt.prof." + name + ".";
-    registry.set_counter(p + "items", c.items);
-    registry.set_counter(p + "input_dry_episodes", c.input_dry_episodes);
-    registry.set_counter(p + "input_dry_ns", c.input_dry_ns);
-    registry.set_counter(p + "output_full_episodes", c.output_full_episodes);
-    registry.set_counter(p + "output_full_ns", c.output_full_ns);
-    registry.set_counter(p + "pool_dry_episodes", c.pool_dry_episodes);
-    registry.set_counter(p + "pool_dry_ns", c.pool_dry_ns);
-    registry.set_counter(p + "recycle_cas_fallbacks",
-                         c.recycle_cas_fallbacks);
-    registry.set_gauge(p + "stall_frac", frac(c.stall_ns(), c.active_ns));
-    registry.set_gauge(p + "occupancy", c.mean_occupancy());
-  };
-  stage("generator", report.generator);
-  stage("consumer", report.consumer);
-  for (std::size_t w = 0; w < report.worker.size(); ++w)
-    stage("worker" + std::to_string(w), report.worker[w]);
-  stage("workers", report.workers_total());
 }
 
 std::string format_profile(const ProfileReport& report,

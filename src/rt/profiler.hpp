@@ -20,7 +20,9 @@
 // Stall timing is episode-based: the clock is read once when a stage first
 // fails to make progress and once when it succeeds again, so the happy
 // path pays zero clock reads and the counters stay single-writer (folded
-// after join — the same pattern as the engine's other per-worker blocks).
+// after join — the same pattern as the engine's other per-stage counters).
+// The engine's runner loop (rt/engine.cpp) is the one place that times
+// episodes, charging each by the outcome of the blocked stage step.
 //
 // `attribute_scaling()` turns the folded counters into a per-contention-
 // point breakdown of lost throughput against the 1-worker anchor:
@@ -36,19 +38,15 @@
 #pragma once
 
 #include <cstdint>
-#include <chrono>
 #include <string>
 #include <vector>
-
-namespace mflow::trace {
-class Registry;
-}
 
 namespace mflow::rt {
 
 /// Per-thread stall/occupancy counters. Written only by the owning thread
 /// while the run is live (own cache line — no false sharing), read by the
-/// engine after join.
+/// engine after join. recycle_cas_fallbacks is always counted (it feeds
+/// EngineResult too); the rest only when EngineConfig::profile is on.
 struct alignas(64) StageCounters {
   std::uint64_t items = 0;             // packets through this stage
   std::uint64_t input_dry_episodes = 0;   // upstream ring was empty
@@ -71,37 +69,6 @@ struct alignas(64) StageCounters {
                : static_cast<double>(occupancy_sum) /
                      static_cast<double>(occupancy_samples);
   }
-};
-
-/// Episode-based stall stopwatch (see file header). Single-threaded; one
-/// per stall kind per thread. All call sites are profiler-gated, so a
-/// disabled profile pays nothing.
-class StallClock {
- public:
-  /// A progress attempt failed: arm the clock (first failure of the
-  /// episode only — repeated calls while armed are free).
-  void stall() {
-    if (!armed_) {
-      armed_ = true;
-      t0_ = std::chrono::steady_clock::now();
-    }
-  }
-  /// Progress resumed (or the stage gave up): close the episode into
-  /// `episodes`/`ns`. No-op when not armed.
-  void resolve(std::uint64_t& episodes, std::uint64_t& ns) {
-    if (!armed_) return;
-    armed_ = false;
-    ++episodes;
-    ns += static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0_)
-            .count());
-  }
-  bool armed() const { return armed_; }
-
- private:
-  bool armed_ = false;
-  std::chrono::steady_clock::time_point t0_;
 };
 
 /// The folded per-run profile (EngineResult::profile).
@@ -143,11 +110,6 @@ struct ScalingAttribution {
 ScalingAttribution attribute_scaling(const ProfileReport& report,
                                      double anchor_pps_w1,
                                      double measured_pps);
-
-/// Export the profile as `rt.prof.<stage>.<counter>` registry counters
-/// (and `rt.prof.<stage>.occupancy` gauges) — the uniform stat surface
-/// scenario reports and the trace exporters already speak.
-void export_profile(const ProfileReport& report, trace::Registry& registry);
 
 /// Human-readable per-stage stall table, plus the attribution breakdown
 /// when one is supplied.

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "net/packet.hpp"
-#include "rt/profiler.hpp"
 #include "rt/spsc_ring.hpp"
 
 namespace mflow::rt {
@@ -35,7 +34,6 @@ struct RtPacket {
   /// entry re-resolves through the full decap, so a split-degree change
   /// never applies a stale decision.
   std::uint32_t epoch = 0;
-  bool last = false;           // end-of-stream marker
   net::PacketPtr skb;          // pooled packet buffer (may be null)
   /// Epoch-flush marker (never delivered): `batch` holds the NEW epoch's
   /// first batch id, and its position in a worker's FIFO proves every
@@ -66,21 +64,13 @@ class RtReassembler {
   RtReassembler(std::size_t workers, std::size_t ring_capacity_pow2);
 
   /// Worker `w` deposits `count` processed packets from `pkts` in order
-  /// (SPSC per worker); returns how many were accepted (a prefix — the
-  /// rest are left intact, skbs included, for the caller to drop and
-  /// account for so the consumer's conservation check still terminates).
-  /// Amortizes ring atomics across the batch; a full ring is retried
-  /// (with yield) at most `max_spins` times without progress, 0 meaning
-  /// retry forever.
-  ///
-  /// `prof` (optional): full-ring stall episodes inside the deposit are
-  /// charged to `prof->output_full_*` — the fan-in fabric's
-  /// merge-backpressure signal (rt::StageCounters; nullptr = no telemetry,
-  /// no clock reads).
+  /// (SPSC per worker) in one attempt, amortizing ring atomics across the
+  /// batch; returns how many were accepted (the prefix that fit — the rest
+  /// are left intact, skbs included, for the caller to retry or to drop
+  /// and account for so the merger's conservation check still
+  /// terminates).
   [[nodiscard]] std::size_t deposit_batch(std::size_t w, RtPacket* pkts,
-                                          std::size_t count,
-                                          std::uint32_t max_spins = 0,
-                                          StageCounters* prof = nullptr);
+                                          std::size_t count);
 
   /// Consumer: pop up to `max` in-order packets into `out`, crossing
   /// micro-flow boundaries when the next micro-flow's head has already

@@ -5,8 +5,10 @@
 // "reasm.evictions", "latency.p50_us", ...) that experiment/report and the
 // bench binaries read back uniformly.
 //
-// Thread-safe: rt worker threads may add() concurrently (mutex; the DES
-// path is single-threaded so contention is nil).
+// Every method takes one mutex, so calls from several threads are safe.
+// Today only single-threaded code writes it: the DES and the reporting
+// layer. The rt engine never touches a registry while its threads run; its
+// counters live in per-stage structs folded into EngineResult after join.
 #pragma once
 
 #include <cstdint>

@@ -5,7 +5,6 @@
 #include "overlay/topology.hpp"
 #include "stack/machine.hpp"
 #include "steering/modes.hpp"
-#include "util/log.hpp"
 
 using namespace mflow;
 
@@ -106,15 +105,4 @@ TEST(DriverNapi, RingOverrunDropsExcess) {
   sim.run();
   EXPECT_GT(m.nic().total_drops(), 0u);
   EXPECT_EQ(m.socket(5000).stats().skbs + m.nic().total_drops(), 64u);
-}
-
-TEST(Log, LevelGatesOutput) {
-  using util::LogLevel;
-  util::set_log_level(LogLevel::kError);
-  EXPECT_EQ(util::log_level(), LogLevel::kError);
-  // Below-threshold logging must be cheap and side-effect free.
-  MFLOW_DEBUG() << "invisible";
-  MFLOW_INFO() << "invisible";
-  util::set_log_level(LogLevel::kWarn);
-  EXPECT_EQ(util::log_level(), LogLevel::kWarn);
 }

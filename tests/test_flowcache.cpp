@@ -331,7 +331,6 @@ rt::EngineConfig rt_overlay_config(bool cache) {
   cfg.workers = 2;
   cfg.batch_size = 64;
   cfg.cost_ns_per_packet = 0;
-  cfg.max_push_spins = 0;  // lossless: per-worker streams deterministic
   cfg.overlay.enabled = true;
   cfg.overlay.cache = cache;
   cfg.overlay.flows = 8;

@@ -437,7 +437,6 @@ TEST(NfRtEngine, ConservationAndDigestEqualAcrossStrategies) {
     rc.workers = 2;
     rc.batch_size = 64;
     rc.cost_ns_per_packet = 0;
-    rc.max_push_spins = 0;  // lossless backpressure
     rc.overlay.enabled = true;
     rc.overlay.flows = 4;
     rc.nf.enabled = true;
@@ -466,7 +465,6 @@ TEST(NfRtEngine, StateCountsSurvivorsOnlyUnderLoss) {
   rc.workers = 2;
   rc.batch_size = 64;
   rc.cost_ns_per_packet = 0;
-  rc.max_push_spins = 0;
   rc.fault_drop_rate = 0.05;
   rc.fault_seed = 7;
   rc.nf.enabled = true;
@@ -490,7 +488,6 @@ rt::EngineConfig churn_nf_config(nf::Strategy strat,
   rc.workers = 2;
   rc.batch_size = 64;
   rc.cost_ns_per_packet = 0;
-  rc.max_push_spins = 0;
   rc.flow_table.enabled = true;
   rc.flow_table.flow_lifetime_batches = lifetime;
   rc.nf.enabled = true;

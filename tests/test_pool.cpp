@@ -210,7 +210,6 @@ TEST(PacketPool, EngineSteadyStateIsAllocationFree) {
   cfg.workers = 2;
   cfg.batch_size = 64;
   cfg.cost_ns_per_packet = 0;
-  cfg.max_push_spins = 0;  // lossless: backpressure, never drop
   cfg.rescales = {{6000, 1}, {11000, 2}};
   // Zero allocations across 16k steady-state packets, from ANY thread.
   EXPECT_EQ(steady_state_allocs(cfg, 20000, 2000, 18000), 0u)
@@ -235,7 +234,6 @@ TEST(PacketPool, OverlayCachedSteadyStateIsAllocationFree) {
   cfg.workers = 2;
   cfg.batch_size = 64;
   cfg.cost_ns_per_packet = 0;
-  cfg.max_push_spins = 0;
   cfg.rescales = {{6000, 1}, {11000, 2}};
   cfg.overlay.enabled = true;
   cfg.overlay.cache = true;
@@ -266,7 +264,6 @@ TEST(PacketPool, ChurnLockSteadyStateIsAllocationFree) {
   cfg.workers = 2;
   cfg.batch_size = 64;
   cfg.cost_ns_per_packet = 0;
-  cfg.max_push_spins = 0;
   cfg.rescales = {{20000, 1}, {30000, 2}};
   cfg.flow_table.enabled = true;
   cfg.flow_table.flow_lifetime_batches = 2;
@@ -295,7 +292,6 @@ TEST(PacketPool, TinyPoolBackpressuresLosslessAndOrdered) {
   cfg.batch_size = 8;
   cfg.ring_capacity = 16;
   cfg.cost_ns_per_packet = 0;
-  cfg.max_push_spins = 0;  // lossless
   cfg.pool_capacity = 64;  // far fewer slabs than the rings could hold
   const auto res = rt::Engine(cfg).run(20000);
   EXPECT_EQ(res.packets, 20000u);

@@ -254,7 +254,6 @@ TEST_P(RtEngineSweep, InOrderAndLossless) {
   cfg.workers = p.workers;
   cfg.batch_size = p.batch;
   cfg.cost_ns_per_packet = 50;  // keep the test fast
-  cfg.max_push_spins = 0;       // lossless: a descheduled thread never sheds
   Engine engine(cfg);
   std::uint64_t observed = 0;
   const auto res = engine.run(p.packets, [&](const RtPacket& pkt) {
@@ -276,17 +275,18 @@ INSTANTIATE_TEST_SUITE_P(
                       RtSweep{2, 4096, 1000}   // single huge batch
                       ));
 
-TEST(RtReassembler, DepositRetryBudgetBoundsTheSpin) {
+TEST(RtReassembler, DepositAcceptsThePrefixThatFits) {
   RtReassembler ra(1, 4);
   RtPacket pkts[] = {pkt(0, 1), pkt(1, 1), pkt(2, 1),
                      pkt(3, 1), pkt(4, 1)};
-  // Ring full and the consumer never runs: a bounded deposit must give up
-  // instead of yielding forever, accepting only the prefix that fit.
-  EXPECT_EQ(ra.deposit_batch(0, pkts, 5, /*max_spins=*/8), 4u);
+  // One attempt, never a wait: a full ring accepts only the prefix that
+  // fit and leaves the rest to the caller.
+  EXPECT_EQ(ra.deposit_batch(0, pkts, 5), 4u);
+  EXPECT_EQ(ra.deposit_batch(0, pkts + 4, 1), 0u);
   // Consuming one slot makes the same deposit succeed.
   RtPacket out;
   ASSERT_EQ(ra.pop_ready_batch(&out, 1), 1u);
-  EXPECT_EQ(ra.deposit_batch(0, pkts + 4, 1, /*max_spins=*/8), 1u);
+  EXPECT_EQ(ra.deposit_batch(0, pkts + 4, 1), 1u);
 }
 
 TEST(RtEngine, InjectedDropsRecoverWithoutWedging) {
@@ -349,7 +349,6 @@ TEST(RtEngine, RuntimeRescaleShrinkAndGrowStaysOrdered) {
   cfg.workers = 4;
   cfg.batch_size = 16;
   cfg.cost_ns_per_packet = 0;
-  cfg.max_push_spins = 0;  // lossless: conservation is exact
   cfg.rescales = {{10000, 1}, {25000, 3}};
   constexpr std::uint64_t kTotal = 40000;
   std::uint64_t observed = 0;
@@ -405,7 +404,6 @@ TEST(RtEngine, FlowTableChurnBoundedAndDeterministic) {
   cfg.workers = 3;
   cfg.batch_size = 16;
   cfg.cost_ns_per_packet = 0;
-  cfg.max_push_spins = 0;
   cfg.flow_table.enabled = true;
   cfg.flow_table.capacity = 1 << 10;
   cfg.flow_table.ttl_batches = 64;
@@ -434,7 +432,6 @@ TEST(RtEngine, FlowTableOverlayHotSetNeverExpires) {
   cfg.workers = 2;
   cfg.batch_size = 16;
   cfg.cost_ns_per_packet = 0;
-  cfg.max_push_spins = 0;
   cfg.overlay.enabled = true;
   cfg.overlay.flows = 8;
   cfg.flow_table.enabled = true;
@@ -463,7 +460,6 @@ TEST(RtEngine, OverlayTemplateFramesMatchPerPacketBuild) {
     cfg.workers = 2;
     cfg.batch_size = 64;
     cfg.cost_ns_per_packet = 0;
-    cfg.max_push_spins = 0;
     cfg.rescales = {{3200, 1}, {6400, 2}};
     cfg.overlay.enabled = true;
     cfg.overlay.cache = true;
@@ -514,40 +510,6 @@ TEST(RtEngine, OverlayTemplateFramesMatchPerPacketBuild) {
   }
 }
 
-// Live capacity requests far past the merger's pending-epoch budget (64):
-// the consumer flips the request between 2 and 1 workers each time the
-// generator has applied the previous one, so an epoch opens at nearly
-// every batch boundary. Two-packet batches and deep rings let the
-// generator run well over a thousand batches ahead of the merge counter,
-// so it keeps meeting a full budget. A refused epoch must leave the old
-// mapping in force; remapping anyway hangs the run, which ctest's TIMEOUT
-// on this binary turns into a failure.
-TEST(RtEngine, LiveCapacityPastEpochBudgetStaysOrdered) {
-  EngineConfig cfg;
-  cfg.workers = 2;
-  cfg.batch_size = 2;
-  cfg.ring_capacity = 2048;
-  cfg.cost_ns_per_packet = 0;
-  cfg.max_push_spins = 0;  // lossless: conservation is exact
-  Engine engine(cfg);
-  EngineCapacityAdapter adapter(engine);
-  constexpr std::uint64_t kTotal = 200000;
-  std::uint64_t observed = 0;
-  std::uint32_t want = 2;  // the run starts with both workers active
-  const auto res = engine.run(kTotal, [&](const RtPacket& pkt) {
-    EXPECT_EQ(pkt.seq, observed);
-    ++observed;
-    if (adapter.active_workers() == want) {
-      want = 3 - want;
-      adapter.set_active_workers(want);
-    }
-  });
-  EXPECT_TRUE(res.in_order);
-  EXPECT_EQ(res.packets, kTotal);
-  EXPECT_EQ(res.packets_dropped, 0u);
-  EXPECT_GT(res.rescales_applied, 64u);
-}
-
 // A rescale schedule longer than the pending-epoch budget, all due at the
 // first boundary: the generator applies 64, is refused on the next, and
 // must keep the old mapping and resume the schedule at a later boundary
@@ -557,7 +519,6 @@ TEST(RtEngine, RescaleScheduleLongerThanEpochBudgetAppliesInOrder) {
   cfg.workers = 2;
   cfg.batch_size = 2;
   cfg.cost_ns_per_packet = 0;
-  cfg.max_push_spins = 0;  // lossless: conservation is exact
   constexpr std::uint32_t kChanges = 100;
   for (std::uint32_t k = 0; k < kChanges; ++k)
     cfg.rescales.push_back({0, k % 2 == 0 ? 1u : 2u});
@@ -587,7 +548,6 @@ TEST(RtEngine, BackToBackShortRunsNeverHangAtEndOfStream) {
   cfg.workers = 2;
   cfg.batch_size = 64;
   cfg.cost_ns_per_packet = 0;
-  cfg.max_push_spins = 0;
   cfg.flow_table.enabled = true;
   cfg.flow_table.flow_lifetime_batches = 8;
   cfg.nf.enabled = true;

@@ -176,22 +176,6 @@ TEST(PinThreadTest, PinAndRestore) {
 
 // ------------------------------------------------------------- profiler
 
-TEST(StallClockTest, EpisodeAccounting) {
-  StallClock clock;
-  std::uint64_t episodes = 0, ns = 0;
-  clock.resolve(episodes, ns);  // not armed: no-op
-  EXPECT_EQ(episodes, 0u);
-  clock.stall();
-  EXPECT_TRUE(clock.armed());
-  clock.stall();  // re-arming while armed is free and keeps t0
-  clock.resolve(episodes, ns);
-  EXPECT_EQ(episodes, 1u);
-  EXPECT_FALSE(clock.armed());
-  clock.stall();
-  clock.resolve(episodes, ns);
-  EXPECT_EQ(episodes, 2u);
-}
-
 /// Build a worker block: `items` processed over `busy_ns` of busy time,
 /// plus the given stalls (active = busy + stalls).
 StageCounters make_worker(std::uint64_t items, std::uint64_t busy_ns,
@@ -426,24 +410,6 @@ TEST(RtScalingEngine, DropReturnRingsCarryFaultedSlabs) {
   EXPECT_GT(res.recycle_ring_returns, res.packets_dropped / 2);
   // The pool never ran dry: the drop-return fabric kept slabs cycling.
   EXPECT_EQ(res.pool_exhausted, 0u);
-}
-
-TEST(RtScalingEngine, ExplicitTopologyOverridePins) {
-  EngineConfig cfg;
-  cfg.workers = 1;
-  cfg.topology.pin_threads = true;
-  // Explicit overrides bypass the "host too small" auto-plan: every
-  // pipeline thread lands on CPU 0, which exists everywhere. Correctness
-  // (not speed) is the claim on a 1-CPU host.
-  cfg.topology.generator_cpu = 0;
-  cfg.topology.consumer_cpu = 0;
-  cfg.topology.worker_cpus = {0};
-  const EngineResult res = Engine(cfg).run(5'000);
-  EXPECT_TRUE(res.in_order);
-  EXPECT_EQ(res.packets, 5'000u);
-#if defined(__linux__)
-  EXPECT_EQ(res.threads_pinned, 3u);
-#endif
 }
 
 TEST(RtScalingEngine, AutoPlanNeverBreaksCorrectness) {
