@@ -65,8 +65,11 @@ TEST(Nic, RssPinsFlowToOneQueue) {
   const int q = nic.rss_queue(pkt(42)->flow);
   for (int i = 0; i < 50; ++i) nic.deliver(pkt(42), i);
   EXPECT_EQ(nic.queue(q).size(), 50u);
-  for (int i = 0; i < 8; ++i)
-    if (i != q) EXPECT_EQ(nic.queue(i).size(), 0u);
+  for (int i = 0; i < 8; ++i) {
+    if (i != q) {
+      EXPECT_EQ(nic.queue(i).size(), 0u);
+    }
+  }
 }
 
 TEST(Nic, RssSpreadsDistinctFlows) {

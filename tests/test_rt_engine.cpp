@@ -15,6 +15,7 @@
 #include "rt/calibrate.hpp"
 #include "rt/engine.hpp"
 #include "rt/spsc_ring.hpp"
+#include "rt_skb_oracle.hpp"
 #include "util/rng.hpp"
 
 using namespace mflow::rt;
@@ -507,6 +508,45 @@ TEST(RtEngine, OverlayTemplateFramesMatchPerPacketBuild) {
     if (nat) {
       EXPECT_EQ(res.nf_nat_rewrites, kTotal);
     }
+  }
+}
+
+// The metadata-only sibling of the test above: the generator hands workers
+// bare slabs, and every delivered skb must carry the metadata its worker
+// built from the descriptor — the flow key the NF chain reads, flow id,
+// payload length, wire seq, micro-flow id, not encapsulated, one segment —
+// with and without flow-table churn, across two rescales and a partial
+// final batch.
+TEST(RtEngine, MetadataOnlySkbBuiltFromDescriptor) {
+  using namespace mflow;
+  constexpr std::uint64_t kTotal = 64 * 150 + 23;
+  for (const bool churn : {false, true}) {
+    EngineConfig cfg;
+    cfg.workers = 2;
+    cfg.batch_size = 64;
+    cfg.cost_ns_per_packet = 0;
+    cfg.max_push_spins = 0;  // lossless: every packet is checked
+    cfg.rescales = {{3200, 1}, {6400, 2}};
+    cfg.nf.enabled = true;
+    cfg.nf.chain.chain = {nf::Kind::kNat, nf::Kind::kFirewall,
+                          nf::Kind::kLoadBalancer};
+    if (churn) {
+      cfg.flow_table.enabled = true;
+      cfg.flow_table.flow_lifetime_batches = 4;
+    }
+    std::uint64_t checked = 0, mismatched = 0;
+    const auto res = Engine(cfg).run(kTotal, [&](const RtPacket& pkt) {
+      const std::string bad = test::skb_mismatch(cfg, pkt);
+      if (!bad.empty() && mismatched++ == 0)
+        ADD_FAILURE() << "first mismatch at seq " << pkt.seq << ": " << bad
+                      << (churn ? " (churn)" : "");
+      ++checked;
+    });
+    ASSERT_TRUE(res.in_order);
+    EXPECT_EQ(checked, kTotal);
+    EXPECT_EQ(mismatched, 0u);
+    EXPECT_EQ(res.rescales_applied, 2u);
+    EXPECT_EQ(res.nf_packets, kTotal);
   }
 }
 

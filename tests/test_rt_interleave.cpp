@@ -8,8 +8,10 @@
 // points so a worker can deposit and exit between them. Every schedule is
 // replayable from its seed, and a scripted schedule reaches a given window
 // on every run. After each schedule the reassembly contract is checked:
-// survivors leave in order, delivered + dropped == generated, and the
-// merged NF state equals a per-packet oracle over the delivered stream.
+// survivors leave in order, delivered + dropped == generated, every
+// delivered skb carries the metadata its worker built from the descriptor,
+// and the merged NF state equals a per-packet oracle over the delivered
+// stream.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -18,6 +20,7 @@
 #include <vector>
 
 #include "rt/stages.hpp"
+#include "rt_skb_oracle.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -136,8 +139,16 @@ class Interleaver {
     return {oracle_.begin(), oracle_.end()};
   }
 
+  /// Delivered packets whose skb metadata differs from the reference, and
+  /// the first such field with its seq.
+  std::uint64_t skb_mismatches() const { return skb_mismatches_; }
+  const std::string& first_skb_mismatch() const { return first_mismatch_; }
+
  private:
   void observe_output(const RtPacket& pkt) {
+    if (const std::string bad = test::skb_mismatch(p_.ctx.cfg, pkt);
+        !bad.empty() && skb_mismatches_++ == 0)
+      first_mismatch_ = bad + " at seq " + std::to_string(pkt.seq);
     if (p_.ctx.nf_on && pkt.skb) {
       const nf::PacketView v = nf::view_of(*pkt.skb);
       for (const auto kind : p_.ctx.cfg.nf.chain.chain)
@@ -149,6 +160,8 @@ class Interleaver {
 
   nf::MaglevTable maglev_;
   std::map<net::FlowId, nf::FlowState> oracle_;
+  std::uint64_t skb_mismatches_ = 0;
+  std::string first_mismatch_;
   RunContext::OutputFn output_;
   Engine engine_;  // owns the live capacity channel the stages read
   EngineCapacityAdapter adapter_;
@@ -164,6 +177,7 @@ void expect_contract(const Interleaver& d, std::uint64_t total,
   EXPECT_TRUE(res.in_order) << tag;
   EXPECT_EQ(res.packets + res.packets_dropped, total) << tag;
   EXPECT_EQ(res.nf_packets, res.packets) << tag;
+  EXPECT_EQ(d.skb_mismatches(), 0u) << tag << ": " << d.first_skb_mismatch();
   const auto want = d.oracle();
   EXPECT_EQ(res.nf_state, want) << tag;
   std::uint64_t h = 0;
