@@ -37,6 +37,18 @@ void ShardIndex::init(std::size_t max_entries) {
   size_ = 0;
 }
 
+void ShardIndex::reserve(std::size_t keys) {
+  const std::size_t slots = std::min(cap_, keys);
+  // maybe_grow() runs before every acquire, so `slots` resident entries
+  // can still double the buckets once more.
+  buckets_.reserve(std::min(max_buckets_, pow2_at_least((slots + 1) * 2)));
+  keys_.reserve(slots);
+  last_seen_.reserve(slots);
+  prev_.reserve(slots);
+  next_.reserve(slots);
+  free_.reserve(slots);
+}
+
 std::int32_t ShardIndex::find(net::FlowId key) const {
   if (size_ == 0) return kNil;
   std::size_t i = mix64(key) & mask_;

@@ -72,6 +72,10 @@ class ShardIndex {
 
   void init(std::size_t max_entries);
 
+  /// Reserve every array for `keys` distinct keys (at most the capacity),
+  /// so no call allocates while the shard meets no more keys than that.
+  void reserve(std::size_t keys);
+
   /// Slot holding `key`, or kNil.
   std::int32_t find(net::FlowId key) const;
 
@@ -136,6 +140,17 @@ class FlowTable {
   }
   FlowTable(const FlowTable&) = delete;
   FlowTable& operator=(const FlowTable&) = delete;
+
+  /// Reserve storage for `keys` distinct keys (capped at the capacity) in
+  /// every shard: no later call allocates while the table meets no more
+  /// keys than that, so threads sharing it never grow it.
+  void reserve(std::size_t keys) {
+    const std::size_t per_shard = capacity_ / shards_.size();
+    for (const auto& shp : shards_) {
+      shp->idx.reserve(keys);
+      shp->values.reserve(std::min(per_shard, keys));
+    }
+  }
 
   /// Lookup without refreshing recency. The pointer stays valid until the
   /// next mutating call on this key's shard.

@@ -154,10 +154,10 @@ struct EngineConfig {
   /// single-writer table per worker, folded into the merged state after
   /// join. Both merges are exact, because nf::FlowState is a lattice. In
   /// overlay mode the NAT stage rewrites the real decapsulated header
-  /// bytes. Tables are built before thread spawn; a table's storage grows
-  /// only when it first meets a flow, so the steady state is
-  /// allocation-free once every table holds its flows or runs at
-  /// `state_capacity`, reusing evicted slots.
+  /// bytes. Tables are built before thread spawn and reserved for every
+  /// flow the run can meet (one per micro-flow batch, at most
+  /// `state_capacity`), so no worker ever allocates: a full table reuses
+  /// evicted slots.
   struct NfConfig {
     bool enabled = false;
     nf::Strategy strategy = nf::Strategy::kScr;
