@@ -22,17 +22,6 @@
 
 using namespace mflow;
 
-namespace {
-
-// Recovery stats come from the trace registry snapshot; the result-struct
-// fields remain only as the -DMFLOW_TRACE=OFF fallback.
-unsigned long long stat(const exp::ScenarioResult& r, std::string_view name,
-                        std::uint64_t fallback) {
-  return r.stats.empty() ? fallback : r.stats.counter(name);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
   const auto measure = sim::ms(cli.get_double("measure-ms", 25));
@@ -68,23 +57,15 @@ int main(int argc, char** argv) {
       cfg.trace.enabled = true;
       cfg.trace.sample_period = 8;
       const auto res = exp::run_scenario(cfg);
-      const double recovery_us =
-          (res.stats.empty() ? res.recovery_latency_ns.mean()
-                             : res.stats.gauge(
-                                   "fault.recovery_latency_mean_ns")) /
-          1000.0;
-      const double p99 = res.stats.empty()
-                             ? res.p99_latency_us()
-                             : res.stats.gauge("latency.p99_us");
       table.add({util::Table::Cell(loss * 100.0, 2),
                  util::fmt_gbps(res.goodput_gbps),
                  util::fmt_gbps(res.offered_gbps),
-                 stat(res, "reasm.drops_recovered", res.drops_recovered),
-                 stat(res, "reasm.evictions", res.evictions),
-                 util::Table::Cell(recovery_us, 1),
-                 stat(res, "reasm.late_deliveries", res.late_deliveries),
-                 stat(res, "reasm.ooo_arrivals", res.ooo_arrivals),
-                 util::Table::Cell(p99, 1)});
+                 res.drops_recovered,
+                 res.evictions,
+                 util::Table::Cell(res.recovery_latency_ns.mean() / 1000.0, 1),
+                 res.late_deliveries,
+                 res.ooo_arrivals,
+                 util::Table::Cell(res.p99_latency_us(), 1)});
       if (batch == 256 && loss == 0.05) phase_case = res;
     }
     table.print(std::cout,

@@ -38,28 +38,11 @@ exp::ScenarioResult run_loaded(exp::Mode mode, std::uint8_t proto,
   const int senders = proto == net::Ipv4Header::kProtoTcp ? 1 : 3;
   cfg.pace_per_message = static_cast<sim::Time>(
       1e9 * senders / (vanilla_msgs_per_sec * load_fraction));
-  // Latency figures read the trace registry (latency.* gauges) and the
-  // per-phase attribution instead of the ad-hoc result fields; sample every
-  // 8th packet per flow to bound trace memory at these rates.
+  // Tracing feeds the per-phase attribution; sample every 8th packet per
+  // flow to bound trace memory at these rates.
   cfg.trace.enabled = true;
   cfg.trace.sample_period = 8;
   return exp::run_scenario(cfg);
-}
-
-// Latency numbers come from the registry snapshot; the direct histogram
-// fields remain only as the fallback for -DMFLOW_TRACE=OFF builds (the
-// snapshot is empty then).
-double mean_us(const exp::ScenarioResult& r) {
-  return r.stats.empty() ? r.mean_latency_us()
-                         : r.stats.gauge("latency.mean_us");
-}
-double p50_us(const exp::ScenarioResult& r) {
-  return r.stats.empty() ? r.p50_latency_us()
-                         : r.stats.gauge("latency.p50_us");
-}
-double p99_us(const exp::ScenarioResult& r) {
-  return r.stats.empty() ? r.p99_latency_us()
-                         : r.stats.gauge("latency.p99_us");
 }
 
 double probe_capacity_msgs(std::uint8_t proto, std::uint32_t size,
@@ -91,9 +74,9 @@ int main(int argc, char** argv) {
       const double cap = probe_capacity_msgs(proto, size, measure);
       for (exp::Mode mode : exp::evaluation_modes()) {
         auto res = run_loaded(mode, proto, size, measure, cap, load);
-        table.add({res.mode, util::Table::Cell(mean_us(res), 1),
-                   util::Table::Cell(p50_us(res), 1),
-                   util::Table::Cell(p99_us(res), 1),
+        table.add({res.mode, util::Table::Cell(res.mean_latency_us(), 1),
+                   util::Table::Cell(res.p50_latency_us(), 1),
+                   util::Table::Cell(res.p99_latency_us(), 1),
                    util::Table::Cell(res.offered_gbps, 2)});
         if (size == 65536) at64k.insert({{res.mode, is_tcp}, std::move(res)});
       }
@@ -121,17 +104,20 @@ int main(int argc, char** argv) {
                              tmfl);
   std::cout << "\n";
 
+  const auto ratio = [](double num, double den) {
+    return den > 0 ? num / den : 0.0;
+  };
   exp::print_expectations(
       std::cout, "Fig 9 shape checks (64KB)",
       {
           {"TCP p50 mflow/vanilla", 0.54,
-           p50_us(tvan) > 0 ? p50_us(tmfl) / p50_us(tvan) : 0, 0.5},
+           ratio(tmfl.p50_latency_us(), tvan.p50_latency_us()), 0.5},
           {"TCP p99 mflow/vanilla", 0.79,
-           p99_us(tvan) > 0 ? p99_us(tmfl) / p99_us(tvan) : 0, 0.5},
+           ratio(tmfl.p99_latency_us(), tvan.p99_latency_us()), 0.5},
           {"TCP mflow above native (gap remains)", 1.5,
-           p50_us(tnat) > 0 ? p50_us(tmfl) / p50_us(tnat) : 0, 1.0},
+           ratio(tmfl.p50_latency_us(), tnat.p50_latency_us()), 1.0},
           {"UDP mean mflow/vanilla < 1", 0.6,
-           mean_us(uvan) > 0 ? mean_us(umfl) / mean_us(uvan) : 0, 0.7},
+           ratio(umfl.mean_latency_us(), uvan.mean_latency_us()), 0.7},
       });
   return 0;
 }

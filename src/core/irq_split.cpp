@@ -98,8 +98,8 @@ class IrqSplitter::FirstHalf final : public sim::Pollable {
       }
       if (ra != nullptr) ra->note_dispatch(pkt->flow_id, a.microflow_id, 1);
       core.charge(sim::Tag::kSteer, costs.mflow_split_per_pkt);
+      ++o.split_;
       if (tr != nullptr) {
-        tr->registry().add("split.dispatched");
         tr->packet(trace::EventKind::kSplitDecision, core.vnow(), core.id(),
                    pkt->flow_id, pkt->wire_seq, a.microflow_id,
                    a.microflow_id);
@@ -115,12 +115,10 @@ class IrqSplitter::FirstHalf final : public sim::Pollable {
 
       if (net::FaultInjector* faults = m.fault_injector()) {
         const auto action = faults->decide(net::FaultPoint::kSplitQueue);
-        if (tr != nullptr && action != net::FaultAction::kNone) {
-          tr->registry().add("fault.split_queue_verdicts");
+        if (tr != nullptr && action != net::FaultAction::kNone)
           tr->packet(trace::EventKind::kFaultVerdict, core.vnow(), core.id(),
                      flow, pkt->wire_seq, batch,
                      static_cast<std::uint64_t>(action));
-        }
         if (action == net::FaultAction::kDrop) {
           // Request lost on the per-core ring: retract the dispatch.
           faults->note_dropped_segs(1);
@@ -161,16 +159,13 @@ class IrqSplitter::FirstHalf final : public sim::Pollable {
 
       const std::uint64_t wseq = pkt->wire_seq;
       if (ring.push(std::move(pkt))) {
-        ++o.dispatched_;
         m.core(a.target_core).raise(*o.second_halves_[slot], /*remote=*/true);
       } else {
         // Request-ring overrun: retract the dispatch so merging never waits
         // for a packet that will not arrive.
-        if (tr != nullptr) {
-          tr->registry().add("split.request_ring_drops");
+        if (tr != nullptr)
           tr->packet(trace::EventKind::kDrop, core.vnow(), core.id(), flow,
                      wseq, batch);
-        }
         if (ra != nullptr) ra->note_drop(flow, batch, 1);
       }
     }

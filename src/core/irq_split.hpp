@@ -33,7 +33,9 @@ class IrqSplitter {
   /// Replace the default driver pollable of `queue` with the first half.
   void install(int queue);
 
-  std::uint64_t requests_dispatched() const { return dispatched_; }
+  /// Requests handed a micro-flow (before split-queue faults and ring
+  /// overruns), like FlowSplitter::packets_split().
+  std::uint64_t packets_split() const { return split_; }
   std::uint64_t request_ring_drops() const;
   const BatchAssigner& assigner() const { return assigner_; }
   BatchAssigner& assigner() { return assigner_; }
@@ -58,7 +60,7 @@ class IrqSplitter {
   std::vector<std::unique_ptr<net::RxRing>> request_rings_;
   std::unique_ptr<FirstHalf> first_half_;
   std::vector<std::unique_ptr<SecondHalf>> second_halves_;
-  std::uint64_t dispatched_ = 0;
+  std::uint64_t split_ = 0;
 };
 
 }  // namespace mflow::core

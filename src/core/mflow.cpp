@@ -100,6 +100,25 @@ std::uint64_t MflowEngine::late_deliveries() const {
   return total;
 }
 
+std::uint64_t MflowEngine::forced_hold_releases() const {
+  std::uint64_t total = 0;
+  for (const auto& [_, ra] : reassemblers_)
+    total += ra->forced_hold_releases();
+  return total;
+}
+
+std::uint64_t MflowEngine::packets_split() const {
+  std::uint64_t total = splitter_ != nullptr ? splitter_->packets_split() : 0;
+  for (const auto& irq : irq_splitters_) total += irq->packets_split();
+  return total;
+}
+
+std::uint64_t MflowEngine::request_ring_drops() const {
+  std::uint64_t total = 0;
+  for (const auto& irq : irq_splitters_) total += irq->request_ring_drops();
+  return total;
+}
+
 bool MflowEngine::any_flow_blocked() const {
   for (const auto& [_, ra] : reassemblers_)
     if (ra->any_flow_blocked()) return true;

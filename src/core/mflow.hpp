@@ -72,6 +72,12 @@ class MflowEngine final {
   std::uint64_t drops_recovered() const;
   std::uint64_t evictions() const;
   std::uint64_t late_deliveries() const;
+  std::uint64_t forced_hold_releases() const;
+  /// Packets the installed splitter(s) handed a micro-flow, and requests
+  /// lost to full IRQ-split request rings. Cumulative: reset_stats() does
+  /// not clear them.
+  std::uint64_t packets_split() const;
+  std::uint64_t request_ring_drops() const;
   /// True if any socket's reassembler holds a wedged flow (buffered or
   /// outstanding work with nothing ready).
   bool any_flow_blocked() const;

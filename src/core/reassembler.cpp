@@ -90,12 +90,9 @@ void Reassembler::flush_hold(FlowMerge& fm, bool force) {
   if (force && !old_work_drained(fm)) {
     ++forced_hold_releases_;
     ++evictions_;
-    if (trace::Tracer* tr = trace::active()) {
-      tr->registry().add("reasm.evictions");
-      tr->registry().add("reasm.forced_hold_releases");
+    if (trace::Tracer* tr = trace::active())
       tr->mark(trace::EventKind::kReasmEvict,
                sim_ != nullptr ? sim_->now() : 0, /*core=*/-1, fm.id);
-    }
   }
   while (!fm.hold.empty()) {
     // Segments are credited to the pre-split gate supply only now, at
@@ -148,23 +145,17 @@ void Reassembler::deposit(net::PacketPtr pkt, int /*from_core*/) {
   // Out-of-order arrival metric (Figure 7): a packet whose per-flow wire
   // index is below one already seen here would be delivered out of order
   // were it not for the reassembler.
-  if (fm.any_seen && pkt->wire_seq < fm.max_wire_seen) {
-    ++ooo_arrivals_;
-    if (trace::Tracer* tr = trace::active())
-      tr->registry().add("reasm.ooo_arrivals");
-  }
+  if (fm.any_seen && pkt->wire_seq < fm.max_wire_seen) ++ooo_arrivals_;
   fm.max_wire_seen = std::max(fm.max_wire_seen, pkt->wire_seq);
   fm.any_seen = true;
   if (pkt->microflow_id < fm.merge_counter) {
     // Duplicate or post-eviction straggler: its batch is already merged
     // past. Deliver out of order rather than buffer it forever.
     ++late_deliveries_;
-    if (trace::Tracer* tr = trace::active()) {
-      tr->registry().add("reasm.late_deliveries");
+    if (trace::Tracer* tr = trace::active())
       tr->packet(trace::EventKind::kLateDelivery,
                  sim_ != nullptr ? sim_->now() : 0, /*core=*/-1, pkt->flow_id,
                  pkt->wire_seq, pkt->microflow_id);
-    }
     passthrough_.push_back(std::move(pkt));
     return;
   }
@@ -312,10 +303,8 @@ bool Reassembler::evict_step(FlowMerge& fm) {
     // do arrive later are still delivered (out of order) via passthrough.
     fm.prior_expected = 0;
     ++evictions_;
-    if (trace::Tracer* tr = trace::active()) {
-      tr->registry().add("reasm.evictions");
+    if (trace::Tracer* tr = trace::active())
       tr->mark(trace::EventKind::kReasmEvict, now, /*core=*/-1, fm.id);
-    }
     recovery_ns_.add(static_cast<double>(now - fm.stall_marked_at));
     return true;
   }
@@ -330,11 +319,8 @@ bool Reassembler::evict_step(FlowMerge& fm) {
     fm.dropped[head] += missing;
     drops_recovered_ += missing;
     ++evictions_;
-    if (trace::Tracer* tr = trace::active()) {
-      tr->registry().add("reasm.evictions");
-      tr->registry().add("reasm.drops_recovered", missing);
+    if (trace::Tracer* tr = trace::active())
       tr->mark(trace::EventKind::kReasmEvict, now, /*core=*/-1, fm.id);
-    }
     pending_charge_ += costs_.mflow_evict_per_batch;
     recovery_ns_.add(static_cast<double>(now - fm.stall_marked_at));
   }

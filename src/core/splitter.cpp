@@ -145,7 +145,6 @@ void FlowSplitter::on_forward(net::PacketPtr pkt, std::size_t next_index,
     ra->note_dispatch(pkt->flow_id, a.microflow_id, pkt->gro_segs);
   fc.charge(sim::Tag::kSteer, costs.mflow_split_per_pkt);
   if (tr != nullptr) {
-    tr->registry().add("split.dispatched");
     tr->packet(trace::EventKind::kSplitDecision, fc.vnow(), from_core,
                pkt->flow_id, pkt->wire_seq, a.microflow_id, a.microflow_id);
     tr->packet(trace::EventKind::kSplitDeposit, fc.vnow(), from_core,
@@ -156,12 +155,10 @@ void FlowSplitter::on_forward(net::PacketPtr pkt, std::size_t next_index,
   if (net::FaultInjector* faults = machine_.fault_injector()) {
     const net::FaultAction action =
         faults->decide(net::FaultPoint::kSplitQueue);
-    if (tr != nullptr && action != net::FaultAction::kNone) {
-      tr->registry().add("fault.split_queue_verdicts");
+    if (tr != nullptr && action != net::FaultAction::kNone)
       tr->packet(trace::EventKind::kFaultVerdict, fc.vnow(), from_core,
                  pkt->flow_id, pkt->wire_seq, a.microflow_id,
                  static_cast<std::uint64_t>(action));
-    }
     switch (action) {
       case net::FaultAction::kDrop:
         // Lost at the splitting-queue deposit; the dispatch above is

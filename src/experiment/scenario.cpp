@@ -615,6 +615,20 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg) {
   const std::uint64_t inj_corrupt0 = injector.total_corruptions();
   const std::uint64_t inj_dup0 = injector.total_duplicates();
   const std::uint64_t inj_delay0 = injector.total_delays();
+  // Totals the trace registry reports that their subsystems count from run
+  // start; the published values are deltas from here.
+  const auto wire_packets = [&server] {
+    return server.nic().total_delivered() + server.nic().total_drops();
+  };
+  const auto verdicts = [&injector](net::FaultPoint p) {
+    return injector.drops(p) + injector.corruptions(p) +
+           injector.duplicates(p) + injector.delays(p);
+  };
+  const std::uint64_t wire0 = wire_packets();
+  const std::uint64_t handoff_verdicts0 = verdicts(net::FaultPoint::kHandoff);
+  const std::uint64_t split_verdicts0 = verdicts(net::FaultPoint::kSplitQueue);
+  const std::uint64_t split0 = engine ? engine->packets_split() : 0;
+  const std::uint64_t req_drops0 = engine ? engine->request_ring_drops() : 0;
 
   events += sim.run_until(cfg.warmup + cfg.measure);
 
@@ -625,9 +639,11 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg) {
   const double secs = sim::to_seconds(cfg.measure);
 
   std::uint64_t bytes = 0;
+  std::uint64_t skbs = 0;
   for (std::uint16_t port : socket_ports) {
     const auto& st = server.socket(port).stats();
     bytes += st.payload_bytes;
+    skbs += st.skbs;
     res.messages += st.messages;
     res.latency.merge(st.latency);
     PortStats ps;
@@ -754,9 +770,9 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg) {
 
   if (tracer) {
     trace::set_current(nullptr);
-    // Canonical registry names: subsystem totals the live tracepoint
-    // counters cannot see (or that are authoritative here) land under the
-    // same snapshot the benches read, replacing per-struct field access.
+    // Publish the run's totals under their canonical names, once, from the
+    // subsystems' own counters over the measurement window (no tracepoint
+    // writes the registry). The benches and reports read this snapshot.
     trace::Registry& reg = tracer->registry();
     reg.set_gauge("goodput_gbps", res.goodput_gbps);
     reg.set_gauge("offered_gbps", res.offered_gbps);
@@ -764,7 +780,14 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg) {
     reg.set_gauge("latency.p50_us", res.p50_latency_us());
     reg.set_gauge("latency.p99_us", res.p99_latency_us());
     reg.set_counter("messages", res.messages);
+    reg.set_counter("nic.wire_packets", wire_packets() - wire0);
     reg.set_counter("nic.drops", res.nic_drops);
+    reg.set_counter("nic.ring_drops", res.nic_drops);
+    reg.set_counter("socket.delivered_skbs", skbs);
+    reg.set_counter("fault.handoff_verdicts",
+                    verdicts(net::FaultPoint::kHandoff) - handoff_verdicts0);
+    reg.set_counter("fault.split_queue_verdicts",
+                    verdicts(net::FaultPoint::kSplitQueue) - split_verdicts0);
     reg.set_counter("fault.injected_drops", res.injected_drops);
     reg.set_counter("fault.injected_drop_segs", res.injected_drop_segs);
     reg.set_counter("fault.injected_corruptions", res.injected_corruptions);
@@ -799,6 +822,13 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg) {
     reg.set_counter("reasm.drops_recovered", res.drops_recovered);
     reg.set_counter("reasm.evictions", res.evictions);
     reg.set_counter("reasm.late_deliveries", res.late_deliveries);
+    if (engine) {
+      reg.set_counter("reasm.forced_hold_releases",
+                      engine->forced_hold_releases());
+      reg.set_counter("split.dispatched", engine->packets_split() - split0);
+      reg.set_counter("split.request_ring_drops",
+                      engine->request_ring_drops() - req_drops0);
+    }
     reg.set_gauge("fault.recovery_latency_mean_ns",
                   res.recovery_latency_ns.mean());
     if (pool) {

@@ -336,8 +336,8 @@ struct ScenarioResult {
   // Tracing output (populated only when cfg.trace.enabled and tracing is
   // compiled in). `tracer` keeps the raw event buffers alive for exporters;
   // `phases` is the per-phase latency attribution over the measurement
-  // window; `stats` is the counter/gauge registry snapshot — the uniform
-  // stat surface benches read instead of the per-subsystem fields above.
+  // window; `stats` is the counter/gauge registry snapshot: the fields
+  // above plus the subsystem totals run_scenario publishes at the end.
   std::shared_ptr<trace::Tracer> tracer;
   trace::PhaseBreakdown phases;
   trace::Registry::Snapshot stats;

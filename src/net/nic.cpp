@@ -22,12 +22,10 @@ void Nic::deliver(PacketPtr pkt, sim::Time now) {
   pkt->wire_seq = flow_seq_[pkt->flow_id]++;
   const int q = rss_queue(pkt->flow);
   trace::Tracer* tr = trace::active();
-  if (tr != nullptr) {
-    tr->registry().add("nic.wire_packets");
+  if (tr != nullptr)
     tr->packet(trace::EventKind::kWireArrival, now, /*core=*/-1,
                pkt->flow_id, pkt->wire_seq, pkt->microflow_id,
                static_cast<std::uint64_t>(q));
-  }
   const std::uint64_t flow = pkt->flow_id;
   const std::uint64_t seq = pkt->wire_seq;
   if (rings_[static_cast<std::size_t>(q)].push(std::move(pkt))) {
@@ -37,7 +35,6 @@ void Nic::deliver(PacketPtr pkt, sim::Time now) {
                  0, static_cast<std::uint64_t>(q));
     if (irq_) irq_(q);
   } else if (tr != nullptr) {
-    tr->registry().add("nic.ring_drops");
     tr->packet(trace::EventKind::kRingDrop, now, /*core=*/-1, flow, seq, 0,
                static_cast<std::uint64_t>(q));
   }

@@ -137,12 +137,10 @@ void Machine::inject_into_path(std::size_t index, int from_core,
                static_cast<std::uint64_t>(target));
   if (handoff && faults_ != nullptr) {
     const net::FaultAction action = faults_->decide(net::FaultPoint::kHandoff);
-    if (tr != nullptr && action != net::FaultAction::kNone) {
-      tr->registry().add("fault.handoff_verdicts");
+    if (tr != nullptr && action != net::FaultAction::kNone)
       tr->packet(trace::EventKind::kFaultVerdict, fc.vnow(), from_core,
                  pkt->flow_id, pkt->wire_seq, pkt->microflow_id,
                  static_cast<std::uint64_t>(action));
-    }
     switch (action) {
       case net::FaultAction::kDrop:
         faults_->note_dropped_segs(pkt->gro_segs);

@@ -120,11 +120,9 @@ void Socket::deliver_to_app(net::PacketPtr pkt, sim::Core& core) {
   const auto copy_ns = static_cast<sim::Time>(
       costs.copy_per_byte * static_cast<double>(pkt->payload_len));
   core.charge(sim::Tag::kCopy, copy_ns);
-  if (tr != nullptr) {
-    tr->registry().add("socket.delivered_skbs");
+  if (tr != nullptr)
     tr->packet(trace::EventKind::kCopyDone, core.vnow(), core.id(),
                pkt->flow_id, pkt->wire_seq, pkt->microflow_id, 0, copy_ns);
-  }
   stats_.payload_bytes += pkt->payload_len;
   account_message_bytes(*pkt, machine_.simulator().now());
   // skb freed here: payload handed to the application.

@@ -2,15 +2,6 @@
 
 namespace mflow::trace {
 
-void Registry::add(std::string_view name, std::uint64_t delta) {
-  std::lock_guard lock(mu_);
-  auto it = counters_.find(name);
-  if (it == counters_.end())
-    counters_.emplace(std::string(name), delta);
-  else
-    it->second += delta;
-}
-
 void Registry::set_counter(std::string_view name, std::uint64_t value) {
   std::lock_guard lock(mu_);
   counters_[std::string(name)] = value;
@@ -21,42 +12,12 @@ void Registry::set_gauge(std::string_view name, double value) {
   gauges_[std::string(name)] = value;
 }
 
-std::uint64_t Registry::counter(std::string_view name) const {
-  std::lock_guard lock(mu_);
-  auto it = counters_.find(name);
-  return it == counters_.end() ? 0 : it->second;
-}
-
-double Registry::gauge(std::string_view name) const {
-  std::lock_guard lock(mu_);
-  auto it = gauges_.find(name);
-  return it == gauges_.end() ? 0.0 : it->second;
-}
-
-bool Registry::remove_counter(std::string_view name) {
-  std::lock_guard lock(mu_);
-  auto it = counters_.find(name);
-  if (it == counters_.end()) return false;
-  counters_.erase(it);
-  return true;
-}
-
 bool Registry::remove_gauge(std::string_view name) {
   std::lock_guard lock(mu_);
   auto it = gauges_.find(name);
   if (it == gauges_.end()) return false;
   gauges_.erase(it);
   return true;
-}
-
-std::size_t Registry::num_counters() const {
-  std::lock_guard lock(mu_);
-  return counters_.size();
-}
-
-std::size_t Registry::num_gauges() const {
-  std::lock_guard lock(mu_);
-  return gauges_.size();
 }
 
 Registry::Snapshot Registry::snapshot() const {

@@ -1,9 +1,10 @@
-// Named counter/gauge registry: the uniform stat surface replacing the
-// ad-hoc per-subsystem stat structs at the reporting layer. Components
-// increment counters live at tracepoints; run_scenario additionally
-// snapshots subsystem totals into canonical names ("nic.drops",
-// "reasm.evictions", "latency.p50_us", ...) that experiment/report and the
-// bench binaries read back uniformly.
+// Named counter/gauge registry: a traced run's stats under `domain.metric`
+// names ("nic.drops", "reasm.evictions", "latency.p50_us", ...). It is a
+// report, not a live counter: run_scenario writes it once at the end of a
+// run from the subsystems' own totals over the measurement window, and no
+// tracepoint writes it. The only writers during a run are the control-plane
+// and NF exporters, which refresh their gauges at tick / sweep rate.
+// Readers take a snapshot() (ScenarioResult::stats).
 //
 // Every method takes one mutex, so calls from several threads are safe.
 // Today only single-threaded code writes it: the DES and the reporting
@@ -21,26 +22,15 @@ namespace mflow::trace {
 
 class Registry {
  public:
-  /// Monotonic counter increment (creates the counter at 0 first).
-  void add(std::string_view name, std::uint64_t delta = 1);
   /// Overwrite a counter with an externally computed total.
   void set_counter(std::string_view name, std::uint64_t value);
   /// Overwrite a gauge (point-in-time double).
   void set_gauge(std::string_view name, double value);
 
-  /// 0 / 0.0 when the name was never touched.
-  std::uint64_t counter(std::string_view name) const;
-  double gauge(std::string_view name) const;
-
-  /// Drop a stat entirely (flow-state reclamation: exporters must stop
+  /// Drop a gauge entirely (flow-state reclamation: exporters must stop
   /// reporting expired flows, not report them frozen at the last value).
   /// Returns false when the name was never registered.
-  bool remove_counter(std::string_view name);
   bool remove_gauge(std::string_view name);
-
-  /// Registered-name counts — the churn tests' boundedness probes.
-  std::size_t num_counters() const;
-  std::size_t num_gauges() const;
 
   struct Snapshot {
     std::map<std::string, std::uint64_t> counters;

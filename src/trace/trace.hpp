@@ -111,7 +111,9 @@ class Tracer {
   /// Hand over a thread-local event buffer (rt engine threads; thread-safe).
   void absorb(std::vector<TraceEvent>&& events);
 
-  /// Drop all buffered events and registry state (warmup boundary).
+  /// Drop all buffered events and registry entries (warmup boundary). No
+  /// tracepoint counts into the registry: run_scenario publishes it once,
+  /// from subsystem totals, after the run.
   void clear();
 
   /// All retained events merged across tracks, ordered by (ts, record idx).

@@ -591,16 +591,17 @@ TEST(FlowMonitor, EraseRetractsRegistryGauges) {
   mon.export_to(&reg);
   mon.record(1, 100, 1000, 0);
   mon.record(2, 100, 1000, 0);
-  EXPECT_EQ(reg.num_gauges(), 4u);  // rate_pps + rate_bps per flow
+  // rate_pps + rate_bps per flow
+  EXPECT_EQ(reg.snapshot().gauges.size(), 4u);
 
   std::vector<net::FlowId> idle;
   mon.collect_idle(sim::ms(2), idle);
   EXPECT_EQ(idle, (std::vector<net::FlowId>{1, 2}));
   EXPECT_TRUE(mon.erase(1));
-  EXPECT_EQ(reg.num_gauges(), 2u);
+  EXPECT_EQ(reg.snapshot().gauges.size(), 2u);
   EXPECT_FALSE(mon.erase(1));
   mon.clear();
-  EXPECT_EQ(reg.num_gauges(), 0u);
+  EXPECT_EQ(reg.snapshot().gauges.size(), 0u);
   EXPECT_EQ(mon.tracked_flows(), 0u);
 }
 
@@ -657,7 +658,7 @@ TEST(Controller, ChurnStormKeepsStateAndGaugesBounded) {
   EXPECT_LE(ctl.tracked_flows(), 300u);
   // Gauge surface is 2 per tracked flow plus the controller's own few: it
   // must shrink with expiry, not accumulate one pair per cumulative flow.
-  EXPECT_LE(reg.num_gauges(), 2 * 300 + 8);
+  EXPECT_LE(reg.snapshot().gauges.size(), 2 * 300 + 8);
   EXPECT_EQ(ctl.release_retries(), 0u);
 }
 

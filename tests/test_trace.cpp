@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <map>
@@ -266,19 +267,18 @@ TEST(Tracer, ActiveFollowsSetCurrent) {
 
 TEST(Registry, CountersGaugesAndSnapshot) {
   trace::Registry reg;
-  reg.add("a.count");
-  reg.add("a.count", 4);
+  reg.set_counter("a.count", 4);
+  reg.set_counter("a.count", 5);  // overwrites, never accumulates
   reg.set_counter("b.total", 10);
   reg.set_gauge("c.rate", 2.5);
-  EXPECT_EQ(reg.counter("a.count"), 5u);
-  EXPECT_EQ(reg.counter("absent"), 0u);
-  EXPECT_DOUBLE_EQ(reg.gauge("c.rate"), 2.5);
   const auto snap = reg.snapshot();
+  EXPECT_EQ(snap.counters.size(), 2u);
   EXPECT_EQ(snap.counter("a.count"), 5u);
   EXPECT_EQ(snap.counter("b.total"), 10u);
+  EXPECT_EQ(snap.counter("absent"), 0u);
   EXPECT_DOUBLE_EQ(snap.gauge("c.rate"), 2.5);
+  EXPECT_DOUBLE_EQ(snap.gauge("absent"), 0.0);
   reg.clear();
-  EXPECT_EQ(reg.counter("a.count"), 0u);
   EXPECT_TRUE(reg.snapshot().empty());
 }
 
@@ -336,6 +336,20 @@ exp::ScenarioConfig traced_scenario(exp::Mode mode) {
   return cfg;
 }
 
+// Events of a traced run that pass `keep`. Every packet is sampled and the
+// tracer is cleared at the warmup boundary, so with nothing overwritten
+// these are exactly the measurement window's tracepoint hits.
+template <class Pred>
+std::uint64_t count_events(const std::vector<trace::TraceEvent>& events,
+                           Pred keep) {
+  return static_cast<std::uint64_t>(
+      std::count_if(events.begin(), events.end(), keep));
+}
+
+auto of_kind(trace::EventKind kind) {
+  return [kind](const trace::TraceEvent& ev) { return ev.kind == kind; };
+}
+
 TEST(ScenarioTrace, PhasesPartitionEndToEndForEveryPacket) {
   if (!trace::compiled_in()) GTEST_SKIP() << "tracing compiled out";
   const auto res = exp::run_scenario(traced_scenario(exp::Mode::kVanilla));
@@ -355,28 +369,69 @@ TEST(ScenarioTrace, PhasesPartitionEndToEndForEveryPacket) {
   EXPECT_GT(complete, 100u);
   EXPECT_FALSE(res.phases.empty());
   EXPECT_GT(res.phases.end_to_end.count(), 0u);
-  EXPECT_GT(res.stats.counter("nic.wire_packets"), 0u);
-  EXPECT_GT(res.stats.counter("socket.delivered_skbs"), 0u);
+  // The end-of-run totals cover the same window as the tracepoints.
+  ASSERT_EQ(res.tracer->overwritten(), 0u);
+  const auto events = res.tracer->sorted_events();
+  const std::uint64_t wire = res.stats.counter("nic.wire_packets");
+  EXPECT_GT(wire, 0u);
+  EXPECT_EQ(wire,
+            count_events(events, of_kind(trace::EventKind::kWireArrival)));
+  EXPECT_EQ(res.stats.counter("nic.ring_drops"), res.nic_drops);
+  EXPECT_EQ(res.nic_drops,
+            count_events(events, of_kind(trace::EventKind::kRingDrop)));
+  const std::uint64_t skbs = res.stats.counter("socket.delivered_skbs");
+  EXPECT_GT(skbs, 0u);
+  EXPECT_EQ(skbs, count_events(events, of_kind(trace::EventKind::kCopyDone)));
   EXPECT_GT(res.stats.gauge("goodput_gbps"), 0.0);
 }
 
 TEST(ScenarioTrace, MflowRunHasSplitAndMergeEvents) {
   if (!trace::compiled_in()) GTEST_SKIP() << "tracing compiled out";
-  const auto res = exp::run_scenario(traced_scenario(exp::Mode::kMflow));
-  ASSERT_NE(res.tracer, nullptr);
-  EXPECT_GT(res.stats.counter("split.dispatched"), 0u);
-  std::set<trace::EventKind> kinds;
-  for (const auto& ev : res.tracer->sorted_events()) kinds.insert(ev.kind);
-  EXPECT_TRUE(kinds.count(trace::EventKind::kSplitDecision));
-  EXPECT_TRUE(kinds.count(trace::EventKind::kSplitDeposit));
-  EXPECT_TRUE(kinds.count(trace::EventKind::kReasmHold));
-  EXPECT_TRUE(kinds.count(trace::EventKind::kReasmRelease));
-  EXPECT_TRUE(kinds.count(trace::EventKind::kIrqRaise));
-  // split_queue residency shows up as a named phase.
-  bool has_split_queue = false;
-  for (const auto& name : res.phases.phase_order)
-    if (name == "split_queue") has_split_queue = true;
-  EXPECT_TRUE(has_split_queue);
+  // One action set per fault point, so the result's per-action totals are
+  // the injector's per-point verdict counts.
+  exp::ScenarioConfig faulted = traced_scenario(exp::Mode::kMflow);
+  faulted.faults.handoff.drop = 0.01;
+  faulted.faults.split_queue.duplicate = 0.01;
+  faulted.faults.split_queue.delay = 0.01;
+  for (const exp::ScenarioConfig& cfg :
+       {traced_scenario(exp::Mode::kMflow), faulted}) {
+    SCOPED_TRACE(cfg.faults.any() ? "faulted" : "fault-free");
+    const auto res = exp::run_scenario(cfg);
+    ASSERT_NE(res.tracer, nullptr);
+    ASSERT_EQ(res.tracer->overwritten(), 0u);
+    const auto events = res.tracer->sorted_events();
+    const std::uint64_t split = res.stats.counter("split.dispatched");
+    EXPECT_GT(split, 0u);
+    EXPECT_EQ(split, count_events(events, [](const trace::TraceEvent& ev) {
+                return ev.kind == trace::EventKind::kSplitDecision &&
+                       ev.microflow != 0;
+              }));
+
+    const std::uint64_t handoff = res.stats.counter("fault.handoff_verdicts");
+    const std::uint64_t split_queue =
+        res.stats.counter("fault.split_queue_verdicts");
+    EXPECT_EQ(handoff, res.injected_drops);
+    EXPECT_EQ(split_queue, res.injected_duplicates + res.injected_delays);
+    EXPECT_EQ(handoff + split_queue,
+              count_events(events, of_kind(trace::EventKind::kFaultVerdict)));
+    if (cfg.faults.any()) {
+      EXPECT_GT(handoff, 0u);
+      EXPECT_GT(split_queue, 0u);
+    }
+
+    std::set<trace::EventKind> kinds;
+    for (const auto& ev : events) kinds.insert(ev.kind);
+    EXPECT_TRUE(kinds.count(trace::EventKind::kSplitDecision));
+    EXPECT_TRUE(kinds.count(trace::EventKind::kSplitDeposit));
+    EXPECT_TRUE(kinds.count(trace::EventKind::kReasmHold));
+    EXPECT_TRUE(kinds.count(trace::EventKind::kReasmRelease));
+    EXPECT_TRUE(kinds.count(trace::EventKind::kIrqRaise));
+    // split_queue residency shows up as a named phase.
+    bool has_split_queue = false;
+    for (const auto& name : res.phases.phase_order)
+      if (name == "split_queue") has_split_queue = true;
+    EXPECT_TRUE(has_split_queue);
+  }
 }
 
 // The overhead guard: identical fig08-style runs with tracing enabled vs
@@ -507,22 +562,19 @@ TEST(RtTrace, EngineAbsorbsThreadLocalBuffers) {
 }  // namespace
 }  // namespace mflow
 
-// remove_counter/remove_gauge exist for flow expiry: the monitor retracts
-// a dead flow's rate gauges so the stat surface stays bounded under churn.
+// remove_gauge exists for flow expiry: the monitor retracts a dead flow's
+// rate gauges so the stat surface stays bounded under churn.
 TEST(Registry, RemoveRetractsStats) {
   mflow::trace::Registry reg;
-  reg.add("a.count");
+  reg.set_counter("a.count", 1);
   reg.set_gauge("b.rate", 1.0);
   reg.set_gauge("c.rate", 2.0);
-  EXPECT_EQ(reg.num_counters(), 1u);
-  EXPECT_EQ(reg.num_gauges(), 2u);
+  EXPECT_EQ(reg.snapshot().gauges.size(), 2u);
   EXPECT_TRUE(reg.remove_gauge("b.rate"));
   EXPECT_FALSE(reg.remove_gauge("b.rate"));
-  EXPECT_EQ(reg.num_gauges(), 1u);
-  EXPECT_TRUE(reg.remove_counter("a.count"));
-  EXPECT_FALSE(reg.remove_counter("absent"));
-  EXPECT_EQ(reg.num_counters(), 0u);
+  EXPECT_FALSE(reg.remove_gauge("absent"));
   const auto snap = reg.snapshot();
+  EXPECT_EQ(snap.gauges.size(), 1u);
   EXPECT_DOUBLE_EQ(snap.gauge("c.rate"), 2.0);
-  EXPECT_EQ(snap.counter("a.count"), 0u);
+  EXPECT_EQ(snap.counter("a.count"), 1u);  // counters are untouched
 }
